@@ -16,8 +16,7 @@ files, all output except measured timings is byte-identical across runs;
 CSV files.
 
 ``LEXPREF_KERNEL`` selects the engine backend (``auto``/``numba``/
-``numpy``); ``LEXPREF_THREADS`` sets the worker count for optimality
-membership tests and the benchmark harness.
+``numpy``).
 """
 
 from __future__ import annotations
@@ -127,8 +126,7 @@ def cmd_optimal(args) -> int:
         raise ParseError("instance has no 'alts:' line")
     space, gamma = instance.space, instance.statements
     try:
-        sets, _ = compute_sets_timed(space, gamma, alternatives,
-                                     threads=args.threads)
+        sets, _ = compute_sets_timed(space, gamma, alternatives)
     except InconsistentError:
         print("inconsistent", file=sys.stderr)
         return EXIT_NEGATIVE
@@ -201,8 +199,7 @@ def _parse_int_list(raw: str) -> list[int]:
     return values
 
 
-def bench_rows(vars_list, stmts_list, alts, reps, seed,
-               threads=None, timings=True):
+def bench_rows(vars_list, stmts_list, alts, reps, seed, timings=True):
     """Benchmark rows in deterministic (n, g, rep) order.
 
     Each cell gets its own derived seed, so the produced instances do not
@@ -223,8 +220,7 @@ def bench_rows(vars_list, stmts_list, alts, reps, seed,
                     raise RuntimeError("internal error: generated instance "
                                        "reported inconsistent")
                 sets, times = compute_sets_timed(gen.space, gen.gamma,
-                                                 gen.alternatives,
-                                                 threads=threads)
+                                                 gen.alternatives)
                 def fmt(ms: float) -> str:
                     return f"{ms:.3f}" if timings else "0.000"
                 rows.append(
@@ -237,7 +233,7 @@ def bench_rows(vars_list, stmts_list, alts, reps, seed,
 
 def cmd_bench(args) -> int:
     rows = bench_rows(args.vars, args.stmts, args.alts, args.reps, args.seed,
-                      threads=args.threads, timings=not args.no_timings)
+                      timings=not args.no_timings)
     text = "\n".join([BENCH_HEADER] + rows) + "\n"
     if args.output == "-":
         sys.stdout.write(text)
@@ -313,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against brute-force enumeration")
     p.add_argument("--oracle-cap", type=int, default=MODEL_CAP_DEFAULT)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_optimal)
 
@@ -337,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alts", type=int, required=True)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--no-timings", action="store_true",
                    help="zero the timing columns (byte-reproducible CSV)")
     p.add_argument("-o", "--output", required=True,

@@ -13,7 +13,8 @@ statement set together with the opposite comparison has no model.
 
 Hot paths run through the array kernel in :mod:`lexpref.kernel`; the
 object-level operations (:func:`extension_constraint`,
-:func:`valid_extension`) mirror the same rules for inspection and testing.
+:func:`valid_extension`) restate the same rules independently and serve as
+the reference the tests check the kernel's witnesses and failures against.
 """
 
 from __future__ import annotations

@@ -12,15 +12,16 @@ of them once every statement composes (which all statements here do):
 * ``NO``  optimal in every model (necessarily optimal)
 
 Membership reduces to consistency: one engine run per alternative for PO
-and PSO, one per ordered pair for CSD and NO.  Alternatives agreeing on
-the maximal model's variables are interchangeable in every model, so all
+and PSO, one per competitor for CSD and NO.  Alternatives agreeing on the
+maximal model's variables are interchangeable in every model, so all
 computations run on one representative per equivalence class and expand
-afterwards.
+afterwards.  ``compute_sets`` walks the inclusion chain NO ⊆ PSO ⊆ PO,
+PSO ⊆ CSD: PSO is tested only on PO members, CSD only outside PSO, and NO
+only when PSO is a single class (a non-empty NO equals PSO).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable, Sequence
@@ -32,8 +33,6 @@ from .engine import (EncodedGamma, consistent_from_encoding,
                      consistent_with_comparisons)
 from .errors import InconsistentError
 from .statements import PrefStatement
-
-THREADS_ENV_VAR = "LEXPREF_THREADS"
 
 
 class AlternativeSet:
@@ -200,30 +199,8 @@ class _MembershipRun:
         return not any(self._pair(p, rep_pos)
                        for p in range(len(self.reps)) if p != rep_pos)
 
-    def expand(self, rep_flags: Sequence[bool]) -> frozenset[int]:
-        out: set[int] = set()
-        for flag, cls in zip(rep_flags, self.eq_classes):
-            if flag:
-                out.update(cls)
-        return frozenset(out)
-
-
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(i) for i in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    def expand(self, rep_positions: Iterable[int]) -> frozenset[int]:
+        return frozenset(i for p in rep_positions for i in self.eq_classes[p])
 
 
 def po_membership(space: VariableSpace, gamma: Sequence[PrefStatement],
@@ -268,34 +245,36 @@ def _rep_pos_of(run: _MembershipRun, alpha: Outcome) -> int:
 
 def compute_sets(space: VariableSpace, gamma: Sequence[PrefStatement],
                  alternatives: AlternativeSet, kernel: str | None = None,
-                 threads: int | None = None) -> OptimalSets:
+                 ) -> OptimalSets:
     """All four optimality classes of the alternative set."""
-    sets, _ = compute_sets_timed(space, gamma, alternatives,
-                                 kernel=kernel, threads=threads)
+    sets, _ = compute_sets_timed(space, gamma, alternatives, kernel=kernel)
     return sets
 
 
 def compute_sets_timed(space: VariableSpace, gamma: Sequence[PrefStatement],
                        alternatives: AlternativeSet,
                        kernel: str | None = None,
-                       threads: int | None = None,
                        ) -> tuple[OptimalSets, dict[str, float]]:
-    """Compute the classes and report per-class wall time in milliseconds."""
-    workers = _thread_count(threads)
+    """Compute the classes and report per-class wall time in milliseconds.
+
+    Each class is tested only on the representatives the earlier classes
+    leave undecided, so a class's time is its cost given the earlier ones.
+    """
     run = _MembershipRun(space, gamma, alternatives, kernel)
-    positions = range(len(run.reps))
     timings: dict[str, float] = {}
 
-    def timed(name: str, fn):
+    def timed(name: str, test, positions) -> list[int]:
         start = perf_counter()
-        flags = _map(fn, positions, workers)
+        held = [p for p in positions if test(p)]
         timings[name] = (perf_counter() - start) * 1000.0
-        return run.expand(flags)
+        return held
 
-    po = timed("po", run.po_rep)
-    pso = timed("pso", run.pso_rep)
-    csd = timed("csd", run.csd_rep)
-    no = timed("no", run.no_rep)
-    sets = OptimalSets(po=po, pso=pso, csd=csd, no=no,
+    every = range(len(run.reps))
+    po = timed("po", run.po_rep, every)
+    pso = timed("pso", run.pso_rep, po)
+    csd = pso + timed("csd", run.csd_rep, [p for p in every if p not in pso])
+    no = timed("no", run.no_rep, pso if len(pso) == 1 else [])
+    sets = OptimalSets(po=run.expand(po), pso=run.expand(pso),
+                       csd=run.expand(csd), no=run.expand(no),
                        eq_classes=run.eq_classes)
     return sets, timings

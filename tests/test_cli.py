@@ -130,11 +130,6 @@ class TestOptimal:
         assert main(["optimal", str(path)]) == 1
         assert "inconsistent" in capsys.readouterr().err
 
-    def test_threads_flag(self, flight_file, capsys):
-        code = main(["optimal", flight_file, "--threads", "3"])
-        assert code == 0
-        assert "NO: {a}" in capsys.readouterr().out
-
 
 class TestGenAndBench:
     def test_gen_then_check_pipeline(self, tmp_path, capsys):

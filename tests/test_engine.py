@@ -4,8 +4,8 @@ import itertools
 
 import pytest
 
-from helpers import (FLIGHT_A, FLIGHT_B, FLIGHT_D, FLIGHT_G, FLIGHT_SPACE,
-                     random_gamma, small_space)
+from helpers import (BACKENDS, FLIGHT_A, FLIGHT_B, FLIGHT_D, FLIGHT_G,
+                     FLIGHT_SPACE, random_gamma, small_space)
 from lexpref import (FailureReason, InconsistentError, LexModel,
                      StatementKind, TotalValueOrder, UnsupportedQueryError,
                      VariableSpace, brute_consistent, brute_entails,
@@ -15,15 +15,31 @@ from lexpref import (FailureReason, InconsistentError, LexModel,
                      extension_constraint, negate_non_strict,
                      outcome_comparison, satisfies, satisfies_star,
                      statement_consistent, v_gamma, valid_extension)
+from lexpref.kernel import HAS_NUMBA
 from lexpref.rng import SplitMix64
 
 SP = FLIGHT_SPACE
-BACKENDS = ("numba", "numpy")
 
 
 def flight_gamma():
     return [outcome_comparison(SP, FLIGHT_A, FLIGHT_B, strict=True, label="s1"),
             outcome_comparison(SP, FLIGHT_B, FLIGHT_G, strict=False, label="s2")]
+
+
+def reference_greedy(space, gamma):
+    """The greedy built from :func:`valid_extension`: append the first
+    variable admitting a valid extension until none does."""
+    model = LexModel(space)
+    while True:
+        for x, name in enumerate(space.variables):
+            if model.vmask & (1 << x):
+                continue
+            order = valid_extension(space, gamma, model, name)
+            if order is not None:
+                model = LexModel(space, model.stages + (order,))
+                break
+        else:
+            return model
 
 
 class TestExtensionConstraint:
@@ -216,6 +232,8 @@ class TestConsistent:
                 assert all(satisfies(res.witness, st) for st in gamma)
 
     def test_backends_agree_exactly(self):
+        if not HAS_NUMBA:
+            pytest.skip("numba unavailable")
         rng = SplitMix64(201)
         for _ in range(200):
             space = small_space(rng)
@@ -226,6 +244,23 @@ class TestConsistent:
             assert a.witness == b.witness
             assert a.test_count == b.test_count
             assert [f.index for f in a.failures] == [f.index for f in b.failures]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_kernel_matches_reference_greedy(self, backend):
+        rng = SplitMix64(223)
+        done = 0
+        while done < 400:
+            space = small_space(rng, max_vars=5, max_domain=4)
+            gamma = [st for st in random_gamma(rng, space, max_statements=6)
+                     if statement_consistent(st)]
+            if not gamma:
+                continue
+            res = consistent(space, gamma, kernel=backend)
+            want = reference_greedy(space, gamma)
+            assert res.witness == want
+            assert [f.index for f in res.failures] == [
+                j for j, st in enumerate(gamma) if not satisfies(want, st)]
+            done += 1
 
     def test_tie_break_order_does_not_change_satisfied_subset(self):
         # maximal star-models built under different variable priorities

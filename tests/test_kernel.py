@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import random_gamma
+from helpers import BACKENDS, random_gamma
 from lexpref import VariableSpace, brute_consistent, consistent, satisfies
 from lexpref.kernel import HAS_NUMBA, backend_name, get_kernel
 from lexpref.rng import SplitMix64
@@ -38,7 +38,7 @@ class TestWiderDomains:
         for _ in range(80):
             gamma = random_gamma(rng, space, max_statements=4)
             want, _ = brute_consistent(space, gamma)
-            for backend in ("numba", "numpy"):
+            for backend in BACKENDS:
                 res = consistent(space, gamma, kernel=backend)
                 assert res.consistent == want
                 if want:

@@ -2,15 +2,16 @@
 
 import pytest
 
-from helpers import (FLIGHT_A, FLIGHT_B, FLIGHT_D, FLIGHT_G, FLIGHT_SPACE,
-                     random_gamma, small_space)
+from helpers import (BACKENDS, FLIGHT_A, FLIGHT_B, FLIGHT_D, FLIGHT_G,
+                     FLIGHT_SPACE, random_gamma, small_space)
 from lexpref import (AlternativeSet, InconsistentError, LexModel, OptimalSets,
                      StatementKind, brute_consistent,
                      brute_optimal_sets, canonicalize, compute_sets,
                      compute_sets_timed, csd_membership, enumerate_models,
                      equivalence_classes, no_membership, optimal_in_model,
                      outcome_comparison, po_membership, pso_membership)
-from lexpref.rng import SplitMix64
+from lexpref.generator import GenConfig, gen_instance
+from lexpref.rng import SplitMix64, derive_seed
 
 SP = FLIGHT_SPACE
 
@@ -117,7 +118,7 @@ class TestFlightMemberships:
 
 
 class TestAgainstOracle:
-    @pytest.mark.parametrize("backend", ("numba", "numpy"))
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_random_instances(self, backend):
         rng = SplitMix64(261)
         checked = 0
@@ -173,12 +174,6 @@ class TestComputeSetsMechanics:
         with pytest.raises(InconsistentError):
             compute_sets(SP, gamma, flight_alts())
 
-    def test_threaded_run_matches_serial(self):
-        gamma, alts = flight_gamma(), flight_alts()
-        serial = compute_sets(SP, gamma, alts, threads=1)
-        threaded = compute_sets(SP, gamma, alts, threads=4)
-        assert serial == threaded
-
     def test_timed_variant_reports_all_classes(self):
         _, times = compute_sets_timed(SP, flight_gamma(), flight_alts())
         assert set(times) == {"po", "pso", "csd", "no"}
@@ -189,3 +184,25 @@ class TestComputeSetsMechanics:
             OptimalSets(po=frozenset({0}), pso=frozenset({0, 1}),
                         csd=frozenset({0, 1}), no=frozenset(),
                         eq_classes=((0,), (1,)))
+
+
+class TestChainAgainstDirectDefinitions:
+    # beyond the oracle's reach: the chain shortcuts of compute_sets must
+    # match each class's own membership test on every alternative.  The
+    # desk grid (n, g) gives PO = PSO = CSD, so two more instances add
+    # classes outside PSO that lie in PO, and in CSD.
+    @pytest.mark.parametrize("n,g,domain_max,rep,beyond_pso", [
+        (n, g, 3, 0, None) for n in (10, 20) for g in (10, 50, 100)
+    ] + [(20, 5, 3, 3, "po"), (10, 10, 4, 6, "csd")])
+    def test_generated_instance(self, n, g, domain_max, rep, beyond_pso):
+        gen = gen_instance(GenConfig(n=n, g=g, m=12, domain_max=domain_max,
+                                     seed=derive_seed(331, n, g, rep)))
+        space, gamma, alts = gen.space, gen.gamma, gen.alternatives
+        got = compute_sets(space, gamma, alts)
+        for name, member in (("po", po_membership), ("pso", pso_membership),
+                             ("csd", csd_membership), ("no", no_membership)):
+            want = frozenset(i for i, alpha in enumerate(alts)
+                             if member(space, gamma, alts, alpha))
+            assert getattr(got, name) == want, name
+        if beyond_pso:
+            assert getattr(got, beyond_pso) > got.pso
