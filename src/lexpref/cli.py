@@ -14,9 +14,6 @@ verdict, 2 usage error, 3 input error.  Given identical arguments and
 files, all output except measured timings is byte-identical across runs;
 ``bench --no-timings`` zeroes the timing columns for fully reproducible
 CSV files.
-
-``LEXPREF_KERNEL`` selects the engine backend (``auto``/``numba``/
-``numpy``).
 """
 
 from __future__ import annotations
@@ -205,6 +202,8 @@ def bench_rows(vars_list, stmts_list, alts, reps, seed, timings=True):
     Each cell gets its own derived seed, so the produced instances do not
     depend on which other cells are requested.
     """
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
     warm_up()
     rows = []
     for n in vars_list:

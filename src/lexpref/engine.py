@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import LexModel, Outcome, TotalValueOrder, VariableSpace, iter_bits
 from .errors import InconsistentError, UnsupportedQueryError
-from .kernel import get_kernel
+from .kernel import greedy
 from .statements import (PrefStatement, StatementKind, inner_statement,
                          negate_non_strict, satisfies, statement_consistent)
 
@@ -104,11 +104,9 @@ class EncodedGamma:
     """
 
     def __init__(self, space: VariableSpace,
-                 statements: Sequence[PrefStatement],
-                 kernel: str | None = None):
+                 statements: Sequence[PrefStatement]):
         self.space = space
         self.statements = tuple(statements)
-        self._kernel = get_kernel(kernel)
         n = space.n
         g = len(self.statements)
         self.inconsistent_indices = tuple(
@@ -163,7 +161,7 @@ class EncodedGamma:
             xleft, xright, xstrict = self._no_extras
         if try_order is None:
             try_order = self._default_order
-        return self._kernel(*self._args, xleft, xright, xstrict, try_order)
+        return greedy(*self._args, xleft, xright, xstrict, try_order)
 
 
 def _csr3(buckets):
@@ -221,7 +219,7 @@ def _order_array(space: VariableSpace,
 
 
 def consistent(space: VariableSpace, gamma: Sequence[PrefStatement],
-               kernel: str | None = None, verify: bool = True,
+               verify: bool = True,
                variable_priority: Sequence[str] | None = None,
                ) -> ConsistencyResult:
     """Decide consistency of a statement set.
@@ -230,7 +228,7 @@ def consistent(space: VariableSpace, gamma: Sequence[PrefStatement],
     is re-checked against every statement through the independent
     stage-walk test; a mismatch would be an engine bug and raises.
     """
-    enc = EncodedGamma(space, gamma, kernel=kernel)
+    enc = EncodedGamma(space, gamma)
     return consistent_from_encoding(enc, verify=verify,
                                     try_order=_order_array(space, variable_priority))
 
@@ -270,7 +268,6 @@ def consistent_from_encoding(enc: EncodedGamma, verify: bool = False,
 
 def build_maximal_star_model(space: VariableSpace,
                              gamma: Sequence[PrefStatement],
-                             kernel: str | None = None,
                              variable_priority: Sequence[str] | None = None,
                              ) -> LexModel:
     """Grow a maximal star-model of an individually consistent statement set.
@@ -278,7 +275,7 @@ def build_maximal_star_model(space: VariableSpace,
     Deterministic: at each step the first variable (in priority order,
     default declaration order) admitting a valid extension is appended.
     """
-    enc = EncodedGamma(space, gamma, kernel=kernel)
+    enc = EncodedGamma(space, gamma)
     if enc.inconsistent_indices:
         bad = enc.statements[enc.inconsistent_indices[0]]
         raise ValueError(
@@ -443,7 +440,7 @@ def consistent_with_comparisons(enc: EncodedGamma,
 
 
 def entails(space: VariableSpace, gamma: Sequence[PrefStatement], op: str,
-            left: Outcome, right: Outcome, kernel: str | None = None) -> bool:
+            left: Outcome, right: Outcome) -> bool:
     """Outcome-comparison inference by reduction to consistency.
 
     ``op`` is one of ``>=``, ``>``, ``==``.  The first two hold exactly
@@ -451,7 +448,7 @@ def entails(space: VariableSpace, gamma: Sequence[PrefStatement], op: str,
     equivalence query projects both outcomes onto the variables of the
     maximal model.
     """
-    enc = EncodedGamma(space, gamma, kernel=kernel)
+    enc = EncodedGamma(space, gamma)
     if op == ">=":
         return not consistent_with_comparisons(enc, [(right, left, True)])
     if op == ">":
@@ -487,34 +484,34 @@ def negation_of(statement: PrefStatement) -> PrefStatement:
 
 
 def entails_general(space: VariableSpace, gamma: Sequence[PrefStatement],
-                    statement: PrefStatement, kernel: str | None = None) -> bool:
+                    statement: PrefStatement) -> bool:
     """Statement inference by reduction to consistency, where expressible."""
     neg = negation_of(statement)
-    res = consistent(space, tuple(gamma) + (neg,), kernel=kernel, verify=False)
+    res = consistent(space, tuple(gamma) + (neg,), verify=False)
     return not res.consistent
 
 
-def v_gamma(space: VariableSpace, gamma: Sequence[PrefStatement],
-            kernel: str | None = None) -> frozenset[str]:
+def v_gamma(space: VariableSpace,
+            gamma: Sequence[PrefStatement]) -> frozenset[str]:
     """Variables of any maximal model of a consistent statement set."""
-    res = consistent(space, gamma, kernel=kernel, verify=False)
+    res = consistent(space, gamma, verify=False)
     if not res.consistent:
         raise InconsistentError("statement set has no model")
     return res.v_gamma
 
 
 def entails_max(space: VariableSpace, gamma: Sequence[PrefStatement],
-                statement: PrefStatement, kernel: str | None = None) -> bool:
+                statement: PrefStatement) -> bool:
     """Inference over maximal models only.
 
     Holds when the statement is entailed outright, and otherwise exactly
     when adding the negation shrinks the maximal-model variable set.
     """
     neg = negation_of(statement)
-    base = consistent(space, gamma, kernel=kernel, verify=False)
+    base = consistent(space, gamma, verify=False)
     if not base.consistent:
         raise InconsistentError("statement set has no model")
-    aug = consistent(space, tuple(gamma) + (neg,), kernel=kernel, verify=False)
+    aug = consistent(space, tuple(gamma) + (neg,), verify=False)
     if not aug.consistent:
         return True
     return aug.v_gamma != base.v_gamma

@@ -5,14 +5,8 @@ statement set one stage at a time and then checks the strictness /
 negation conditions on the result.  Benchmarks run it tens of thousands of
 times per instance (one call per optimality membership test), so it
 operates on a flat array encoding and is JIT-compiled with numba when
-available.
-
-The same source is also executed as plain Python over numpy arrays; select
-with the ``LEXPREF_KERNEL`` environment variable:
-
-* ``auto``  (default) numba when importable, numpy otherwise
-* ``numba`` require the JIT-compiled kernel
-* ``numpy`` force the pure-Python/numpy path
+available (the ``jit`` extra); without numba the same source runs as
+plain Python over numpy arrays.
 
 Per-variable constraint data arrives in CSR layout (``*_ptr`` of length
 n+1 indexing flat entry arrays).  Entry arrays:
@@ -41,8 +35,6 @@ constraint evaluations.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -261,54 +253,18 @@ def _greedy_impl(
     return (1 if ok_all else 0), nstages, stage_vars, orders, fail, xfail, tests
 
 
-if HAS_NUMBA:
-    _greedy_numba = njit(cache=True, nogil=True)(_greedy_impl)
-else:  # pragma: no cover - environment without numba
-    _greedy_numba = None
-
-_greedy_numpy = _greedy_impl
-
-ENV_VAR = "LEXPREF_KERNEL"
+greedy = njit(cache=True, nogil=True)(_greedy_impl) if HAS_NUMBA else _greedy_impl
 
 
-def backend_name(name: str | None = None) -> str:
-    """Resolve the requested backend ('numba' or 'numpy')."""
-    if name is None:
-        name = os.environ.get(ENV_VAR, "auto")
-    name = name.lower()
-    if name == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    if name == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not installed")
-        return "numba"
-    if name == "numpy":
-        return "numpy"
-    raise ValueError(f"unknown kernel backend {name!r}")
-
-
-def get_kernel(name: str | None = None):
-    resolved = backend_name(name)
-    return _greedy_numba if resolved == "numba" else _greedy_numpy
+def backend_name() -> str:
+    """The backend in use: 'numba' when importable, 'numpy' otherwise."""
+    return "numba" if HAS_NUMBA else "numpy"
 
 
 def warm_up() -> None:
     """Force JIT compilation outside timed sections."""
     if not HAS_NUMBA:
         return
-    empty32 = np.zeros(0, np.int32)
-    empty16 = np.zeros(0, np.int16)
-    _greedy_numba(
-        1, 1, np.ones(1, np.int32),
-        np.zeros(0, np.int8),
-        np.zeros(2, np.int32), empty32, empty16, empty16,
-        np.zeros(2, np.int32), empty32, empty16,
-        np.zeros(2, np.int32), empty32, empty16,
-        np.zeros(2, np.int32), empty32,
-        np.zeros(1, np.int32), empty32,
-        np.zeros(2, np.int32), empty32, empty16, empty16,
-        np.zeros(2, np.int32), empty32,
-        np.zeros((0, 1), np.int16), np.zeros((0, 1), np.int16),
-        np.zeros(0, np.bool_),
-        np.zeros(1, np.int32),
-    )
+    from .core import VariableSpace
+    from .engine import EncodedGamma  # engine imports this module
+    EncodedGamma(VariableSpace(["x"], {"x": ["a"]}), ()).run()

@@ -16,8 +16,18 @@ and PSO, one per competitor for CSD and NO.  Alternatives agreeing on the
 maximal model's variables are interchangeable in every model, so all
 computations run on one representative per equivalence class and expand
 afterwards.  ``compute_sets`` walks the inclusion chain NO ⊆ PSO ⊆ PO,
-PSO ⊆ CSD: PSO is tested only on PO members, CSD only outside PSO, and NO
-only when PSO is a single class (a non-empty NO equals PSO).
+PSO ⊆ CSD: PSO is tested only on PO members and CSD only outside PSO.
+
+NO needs no engine run: it is PSO when PSO is a single class, and empty
+otherwise.  Let M be any model of the statement set and M* the greedy
+maximal model.  M followed by the stages of M* on the variables M lacks
+is again a model (every statement kind survives the stage walk of
+:func:`lexpref.statements.satisfies`).  It orders every variable of M*,
+so its optimum is a single class, which therefore lies in PSO; and it
+only breaks ties of M, so that class is optimal in M as well.  A lone
+PSO class is thus optimal in every model.  With two PSO classes, each has
+a model where it alone is optimal, so neither is in NO.
+``no_membership`` keeps the direct definition, one run per competitor.
 """
 
 from __future__ import annotations
@@ -134,14 +144,13 @@ def _class_partition(vmask: int, alternatives: AlternativeSet,
 
 def equivalence_classes(space: VariableSpace, gamma: Sequence[PrefStatement],
                         alternatives: AlternativeSet,
-                        kernel: str | None = None,
                         ) -> tuple[tuple[int, ...], ...]:
     """Partition alternatives by agreement on the maximal model's variables.
 
     Alternatives in one class compare as equivalent under every model of the
     statement set.
     """
-    res = consistent_from_encoding(EncodedGamma(space, gamma, kernel=kernel))
+    res = consistent_from_encoding(EncodedGamma(space, gamma))
     if not res.consistent:
         raise InconsistentError("statement set has no model")
     return _class_partition(res.witness.vmask, alternatives)
@@ -151,10 +160,10 @@ class _MembershipRun:
     """Shared state for membership tests over one instance."""
 
     def __init__(self, space: VariableSpace, gamma: Sequence[PrefStatement],
-                 alternatives: AlternativeSet, kernel: str | None = None):
+                 alternatives: AlternativeSet):
         self.space = space
         self.alternatives = alternatives
-        self.enc = EncodedGamma(space, gamma, kernel=kernel)
+        self.enc = EncodedGamma(space, gamma)
         res = consistent_from_encoding(self.enc)
         if not res.consistent:
             raise InconsistentError("statement set has no model")
@@ -204,34 +213,30 @@ class _MembershipRun:
 
 
 def po_membership(space: VariableSpace, gamma: Sequence[PrefStatement],
-                  alternatives: AlternativeSet, alpha: Outcome,
-                  kernel: str | None = None) -> bool:
+                  alternatives: AlternativeSet, alpha: Outcome) -> bool:
     """Is there a model of the statement set making ``alpha`` optimal?"""
-    run = _MembershipRun(space, gamma, alternatives, kernel)
+    run = _MembershipRun(space, gamma, alternatives)
     return run.po_rep(_rep_pos_of(run, alpha))
 
 
 def pso_membership(space: VariableSpace, gamma: Sequence[PrefStatement],
-                   alternatives: AlternativeSet, alpha: Outcome,
-                   kernel: str | None = None) -> bool:
+                   alternatives: AlternativeSet, alpha: Outcome) -> bool:
     """Is ``alpha`` optimal in some model with only equivalents beside it?"""
-    run = _MembershipRun(space, gamma, alternatives, kernel)
+    run = _MembershipRun(space, gamma, alternatives)
     return run.pso_rep(_rep_pos_of(run, alpha))
 
 
 def csd_membership(space: VariableSpace, gamma: Sequence[PrefStatement],
-                   alternatives: AlternativeSet, alpha: Outcome,
-                   kernel: str | None = None) -> bool:
+                   alternatives: AlternativeSet, alpha: Outcome) -> bool:
     """Is ``alpha`` undominated under the entailed strict relation?"""
-    run = _MembershipRun(space, gamma, alternatives, kernel)
+    run = _MembershipRun(space, gamma, alternatives)
     return run.csd_rep(_rep_pos_of(run, alpha))
 
 
 def no_membership(space: VariableSpace, gamma: Sequence[PrefStatement],
-                  alternatives: AlternativeSet, alpha: Outcome,
-                  kernel: str | None = None) -> bool:
+                  alternatives: AlternativeSet, alpha: Outcome) -> bool:
     """Is ``alpha`` optimal in every model of the statement set?"""
-    run = _MembershipRun(space, gamma, alternatives, kernel)
+    run = _MembershipRun(space, gamma, alternatives)
     return run.no_rep(_rep_pos_of(run, alpha))
 
 
@@ -244,23 +249,22 @@ def _rep_pos_of(run: _MembershipRun, alpha: Outcome) -> int:
 
 
 def compute_sets(space: VariableSpace, gamma: Sequence[PrefStatement],
-                 alternatives: AlternativeSet, kernel: str | None = None,
-                 ) -> OptimalSets:
+                 alternatives: AlternativeSet) -> OptimalSets:
     """All four optimality classes of the alternative set."""
-    sets, _ = compute_sets_timed(space, gamma, alternatives, kernel=kernel)
+    sets, _ = compute_sets_timed(space, gamma, alternatives)
     return sets
 
 
 def compute_sets_timed(space: VariableSpace, gamma: Sequence[PrefStatement],
                        alternatives: AlternativeSet,
-                       kernel: str | None = None,
                        ) -> tuple[OptimalSets, dict[str, float]]:
     """Compute the classes and report per-class wall time in milliseconds.
 
     Each class is tested only on the representatives the earlier classes
-    leave undecided, so a class's time is its cost given the earlier ones.
+    leave undecided, so a class's time is its cost given the earlier ones;
+    NO is read off PSO without a test.
     """
-    run = _MembershipRun(space, gamma, alternatives, kernel)
+    run = _MembershipRun(space, gamma, alternatives)
     timings: dict[str, float] = {}
 
     def timed(name: str, test, positions) -> list[int]:
@@ -273,7 +277,9 @@ def compute_sets_timed(space: VariableSpace, gamma: Sequence[PrefStatement],
     po = timed("po", run.po_rep, every)
     pso = timed("pso", run.pso_rep, po)
     csd = pso + timed("csd", run.csd_rep, [p for p in every if p not in pso])
-    no = timed("no", run.no_rep, pso if len(pso) == 1 else [])
+    start = perf_counter()
+    no = pso if len(pso) == 1 else []  # read off PSO: see the module docstring
+    timings["no"] = (perf_counter() - start) * 1000.0
     sets = OptimalSets(po=run.expand(po), pso=run.expand(pso),
                        csd=run.expand(csd), no=run.expand(no),
                        eq_classes=run.eq_classes)

@@ -12,11 +12,7 @@ import itertools
 from lexpref import (LexModel, Outcome, PartialAssignment, StatementKind,
                      TotalValueOrder, VariableSpace, canonicalize,
                      negate_non_strict)
-from lexpref.kernel import HAS_NUMBA
 from lexpref.rng import SplitMix64
-
-# the kernel backends importable here
-BACKENDS = ("numba", "numpy") if HAS_NUMBA else ("numpy",)
 
 FLIGHT_SPACE = VariableSpace(
     ["airline", "time", "class"],

@@ -173,6 +173,15 @@ class TestGenAndBench:
                          "-o", str(out)]) == 0
         assert outs[0].read_text() == outs[1].read_text()
 
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_bench_rejects_non_positive_reps(self, tmp_path, capsys, reps):
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--vars", "4", "--stmts", "5", "--alts", "6",
+                     "--reps", reps, "--seed", "1", "-o", str(out)])
+        assert code == 3
+        assert not out.exists()
+        assert "reps" in capsys.readouterr().err
+
 
 class TestOracleCommand:
     def test_flight_cross_check(self, flight_file, capsys):

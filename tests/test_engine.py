@@ -2,10 +2,12 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
-from helpers import (BACKENDS, FLIGHT_A, FLIGHT_B, FLIGHT_D, FLIGHT_G,
-                     FLIGHT_SPACE, random_gamma, small_space)
+from helpers import (FLIGHT_A, FLIGHT_B, FLIGHT_D, FLIGHT_G,
+                     FLIGHT_SPACE, random_gamma, random_outcome,
+                     small_space)
 from lexpref import (FailureReason, InconsistentError, LexModel,
                      StatementKind, TotalValueOrder, UnsupportedQueryError,
                      VariableSpace, brute_consistent, brute_entails,
@@ -15,7 +17,8 @@ from lexpref import (FailureReason, InconsistentError, LexModel,
                      extension_constraint, negate_non_strict,
                      outcome_comparison, satisfies, satisfies_star,
                      statement_consistent, v_gamma, valid_extension)
-from lexpref.kernel import HAS_NUMBA
+from lexpref import kernel
+from lexpref.engine import EncodedGamma, _comparison_arrays
 from lexpref.rng import SplitMix64
 
 SP = FLIGHT_SPACE
@@ -168,9 +171,8 @@ class TestBuildMaximalStarModel:
 
 
 class TestConsistent:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_flight_instance_consistent(self, backend):
-        res = consistent(SP, flight_gamma(), kernel=backend)
+    def test_flight_instance_consistent(self):
+        res = consistent(SP, flight_gamma())
         assert res.consistent
         assert res.failures == ()
         assert res.v_gamma == frozenset(SP.variables)
@@ -219,34 +221,37 @@ class TestConsistent:
         assert list(reasons.values()) == [
             FailureReason.NEEDS_SHARED_DIFFERENCE_STAGE]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_oracle_on_random_sets(self, backend):
+    def test_matches_oracle_on_random_sets(self):
         rng = SplitMix64(191)
         for _ in range(150):
             space = small_space(rng)
             gamma = random_gamma(rng, space)
             ok, _ = brute_consistent(space, gamma)
-            res = consistent(space, gamma, kernel=backend)
+            res = consistent(space, gamma)
             assert res.consistent == ok
             if res.consistent:
                 assert all(satisfies(res.witness, st) for st in gamma)
 
     def test_backends_agree_exactly(self):
-        if not HAS_NUMBA:
+        # the compiled kernel against its own source run as plain Python,
+        # with and without an extra comparison row
+        if not kernel.HAS_NUMBA:
             pytest.skip("numba unavailable")
         rng = SplitMix64(201)
         for _ in range(200):
             space = small_space(rng)
-            gamma = random_gamma(rng, space)
-            a = consistent(space, gamma, kernel="numba")
-            b = consistent(space, gamma, kernel="numpy")
-            assert a.consistent == b.consistent
-            assert a.witness == b.witness
-            assert a.test_count == b.test_count
-            assert [f.index for f in a.failures] == [f.index for f in b.failures]
+            enc = EncodedGamma(space, random_gamma(rng, space))
+            row = (random_outcome(rng, space), random_outcome(rng, space),
+                   rng.randrange(2) == 1)
+            order = enc._default_order
+            for extras in (enc._no_extras, _comparison_arrays(space, [row])):
+                compiled = kernel.greedy(*enc._args, *extras, order)
+                source = kernel._greedy_impl(*enc._args, *extras, order)
+                assert len(compiled) == len(source)
+                for got, want in zip(compiled, source):
+                    np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_kernel_matches_reference_greedy(self, backend):
+    def test_kernel_matches_reference_greedy(self):
         rng = SplitMix64(223)
         done = 0
         while done < 400:
@@ -255,7 +260,7 @@ class TestConsistent:
                      if statement_consistent(st)]
             if not gamma:
                 continue
-            res = consistent(space, gamma, kernel=backend)
+            res = consistent(space, gamma)
             want = reference_greedy(space, gamma)
             assert res.witness == want
             assert [f.index for f in res.failures] == [

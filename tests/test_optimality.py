@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import (BACKENDS, FLIGHT_A, FLIGHT_B, FLIGHT_D, FLIGHT_G,
+from helpers import (FLIGHT_A, FLIGHT_B, FLIGHT_D, FLIGHT_G,
                      FLIGHT_SPACE, random_gamma, small_space)
 from lexpref import (AlternativeSet, InconsistentError, LexModel, OptimalSets,
                      StatementKind, brute_consistent,
@@ -118,8 +118,7 @@ class TestFlightMemberships:
 
 
 class TestAgainstOracle:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_random_instances(self, backend):
+    def test_random_instances(self):
         rng = SplitMix64(261)
         checked = 0
         while checked < 120:
@@ -134,7 +133,7 @@ class TestAgainstOracle:
             m = 2 + rng.randrange(min(5, len(pool) - 1))
             alts = AlternativeSet(space, pool[:m])
             want = brute_optimal_sets(space, gamma, alts, models=models)
-            got = compute_sets(space, gamma, alts, kernel=backend)
+            got = compute_sets(space, gamma, alts)
             assert got.po == want.po
             assert got.pso == want.pso
             assert got.csd == want.csd
@@ -186,18 +185,25 @@ class TestComputeSetsMechanics:
                         eq_classes=((0,), (1,)))
 
 
+# (n, g, domain_max, rep, class with members outside PSO)
+CHAIN_CASES = [(n, g, 3, 0, None) for n in (10, 20) for g in (10, 50, 100)
+               ] + [(20, 5, 3, 3, "po"), (10, 10, 4, 6, "csd")]
+
+
+def chain_instance(n, g, domain_max, rep):
+    gen = gen_instance(GenConfig(n=n, g=g, m=12, domain_max=domain_max,
+                                 seed=derive_seed(331, n, g, rep)))
+    return gen.space, gen.gamma, gen.alternatives
+
+
 class TestChainAgainstDirectDefinitions:
     # beyond the oracle's reach: the chain shortcuts of compute_sets must
     # match each class's own membership test on every alternative.  The
     # desk grid (n, g) gives PO = PSO = CSD, so two more instances add
     # classes outside PSO that lie in PO, and in CSD.
-    @pytest.mark.parametrize("n,g,domain_max,rep,beyond_pso", [
-        (n, g, 3, 0, None) for n in (10, 20) for g in (10, 50, 100)
-    ] + [(20, 5, 3, 3, "po"), (10, 10, 4, 6, "csd")])
+    @pytest.mark.parametrize("n,g,domain_max,rep,beyond_pso", CHAIN_CASES)
     def test_generated_instance(self, n, g, domain_max, rep, beyond_pso):
-        gen = gen_instance(GenConfig(n=n, g=g, m=12, domain_max=domain_max,
-                                     seed=derive_seed(331, n, g, rep)))
-        space, gamma, alts = gen.space, gen.gamma, gen.alternatives
+        space, gamma, alts = chain_instance(n, g, domain_max, rep)
         got = compute_sets(space, gamma, alts)
         for name, member in (("po", po_membership), ("pso", pso_membership),
                              ("csd", csd_membership), ("no", no_membership)):
@@ -206,3 +212,14 @@ class TestChainAgainstDirectDefinitions:
             assert getattr(got, name) == want, name
         if beyond_pso:
             assert getattr(got, beyond_pso) > got.pso
+
+    def test_cases_cover_both_pso_shapes(self):
+        # NO is read off PSO, so the cases above must include a lone PSO
+        # class (NO = PSO) and several PSO classes (NO empty)
+        shapes = set()
+        for n, g, domain_max, rep, _ in CHAIN_CASES:
+            sets = compute_sets(*chain_instance(n, g, domain_max, rep))
+            pso_classes = sum(1 for cls in sets.eq_classes
+                              if cls[0] in sets.pso)
+            shapes.add((pso_classes == 1, bool(sets.no)))
+        assert {(True, True), (False, False)} <= shapes
