@@ -25,8 +25,8 @@ from time import perf_counter
 
 from . import __version__
 from .engine import consistent, entails, entails_general, entails_max
-from .errors import (CapExceededError, InconsistentError, LexPrefError,
-                     ParseError, UnsupportedQueryError)
+from .errors import (InconsistentError, LexPrefError, ParseError,
+                     UnsupportedQueryError)
 from .generator import GenConfig, GeneratedInstance, gen_instance
 from .instance import (Instance, format_instance, parse_instance, parse_query)
 from .kernel import warm_up
@@ -354,11 +354,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, UnsupportedQueryError, CapExceededError,
-            ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except LexPrefError as exc:
+    except (LexPrefError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

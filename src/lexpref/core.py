@@ -16,6 +16,7 @@ across threads.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -158,20 +159,8 @@ class VariableSpace:
 
     def iter_outcomes(self) -> Iterator["Outcome"]:
         """All outcomes, in lexicographic order of value indices."""
-        n = self.n
-        sizes = [len(d) for d in self.domains]
-        values = [0] * n
-        while True:
-            yield Outcome(self, tuple(values))
-            i = n - 1
-            while i >= 0:
-                values[i] += 1
-                if values[i] < sizes[i]:
-                    break
-                values[i] = 0
-                i -= 1
-            if i < 0:
-                return
+        for values in product(*(range(len(d)) for d in self.domains)):
+            yield Outcome(self, values)
 
     def __repr__(self) -> str:
         return f"VariableSpace({list(self.variables)!r})"

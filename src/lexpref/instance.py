@@ -4,15 +4,25 @@ One declaration per line, ``#`` starts a comment::
 
     var NAME: v1, v2[, v3]
     outcome NAME: VAR=val, VAR=val, ...        # must assign every variable
-    stmt NAME: [VAR=val, ...] OP [VAR=val, ...] || {VAR, ...}
-    stmt NAME: not ([VAR=val, ...] >= [VAR=val, ...] || {VAR, ...})
-    stmt NAME: OUTNAME OP OUTNAME              # outcome comparison shorthand
+    stmt NAME: STATEMENT
     alts: NAME, NAME, ...
 
+A ``STATEMENT`` (and an ``infer`` query) has one of three shapes, with
+whitespace free between tokens::
+
+    [VAR=val, ...] OP [VAR=val, ...] || {VAR, ...}
+    not ([VAR=val, ...] >= [VAR=val, ...] || {VAR, ...})
+    OUTNAME OP OUTNAME                         # outcome comparison shorthand
+
 ``OP`` is ``>=`` (non-strict), ``>>`` (fully strict) or ``>`` (weakly
-strict).  The ``|| {...}`` held-variable clause may be omitted when empty.
-Variable declarations must precede everything else.  Parsing reports
-positioned errors; re-serialising a parsed file is lossless up to
+strict); a query may also compare two outcomes with ``==``.  Either
+bracketed list may be empty, and the ``|| {...}`` held-variable clause may
+be omitted when empty.  Names are runs of letters, digits and ``_.+-``;
+``not`` starts a negation only when ``(`` follows it, so it is also a valid
+outcome name.  Variable declarations must precede everything else.
+
+Every error in a file names its line, and trailing input after a statement
+also its column.  Re-serialising a parsed file is lossless up to
 canonicalisation of the statements.
 """
 
@@ -32,6 +42,16 @@ _NAME_RE = re.compile(rf"^{_NAME}$")
 _OPS = {">=": StatementKind.NON_STRICT,
         ">>": StatementKind.FULLY_STRICT,
         ">": StatementKind.WEAKLY_STRICT}
+_STMT_RE = re.compile(
+    r"\s*(?P<neg>not\s*\(\s*)?"
+    r"\[(?P<p>[^\[\]]*)\]\s*(?P<op>>=|>>|>)\s*\[(?P<q>[^\[\]]*)\]"
+    r"(?:\s*\|\|\s*\{(?P<t>[^{}]*)\})?"
+    r"(?(neg)\s*\))\s*")
+_CMP_RE = re.compile(
+    rf"\s*(?P<left>{_NAME})\s*(?P<op>>=|>>|==|>)\s*(?P<right>{_NAME})\s*")
+_SHAPES = ("expected '[VAR=val, ...] OP [VAR=val, ...] || {VAR, ...}', "
+           "'not ([...] >= [...] || {...})' or 'OUTCOME OP OUTCOME', "
+           "with OP one of '>=', '>>', '>'")
 
 
 @dataclass
@@ -51,151 +71,50 @@ class Instance:
                               [self.outcomes[n] for n in self.alt_names])
 
 
-class _Reader:
-    def __init__(self, text: str, line: int):
-        self.text = text
-        self.pos = 0
-        self.line = line
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos:self.pos + 1]
-
-    def expect(self, token: str) -> None:
-        self.skip_ws()
-        if not self.text.startswith(token, self.pos):
-            raise self.error(f"expected {token!r} at column {self.pos + 1}")
-        self.pos += len(token)
-
-    def try_token(self, token: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
-
-    def try_keyword(self, word: str) -> bool:
-        """Match a whole word (not a prefix of a longer name)."""
-        self.skip_ws()
-        end = self.pos + len(word)
-        if self.text.startswith(word, self.pos) \
-                and not re.match(_NAME, self.text[end:end + 1]):
-            self.pos = end
-            return True
-        return False
-
-    def name(self) -> str:
-        self.skip_ws()
-        match = re.match(_NAME, self.text[self.pos:])
-        if not match:
-            raise self.error(f"expected a name at column {self.pos + 1}")
-        self.pos += match.end()
-        return match.group(0)
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+def _assignment(text: str) -> dict[str, str]:
+    """A ``VAR=val, ...`` list as a name-to-value mapping; blank is empty."""
+    out: dict[str, str] = {}
+    if not text.strip():
+        return out
+    for item in text.split(","):
+        var, sep, val = item.partition("=")
+        var, val = var.strip(), val.strip()
+        if not (sep and var and val):
+            raise ValueError(f"expected VAR=val, got {item.strip()!r}")
+        if var in out:
+            raise ValueError(f"variable {var!r} assigned twice")
+        out[var] = val
+    return out
 
 
-def _parse_side(reader: _Reader, space: VariableSpace,
-                stmt_name: str) -> PartialAssignment:
-    reader.expect("[")
-    vals: dict[int, int] = {}
-    if not reader.try_token("]"):
-        while True:
-            var = reader.name()
-            reader.expect("=")
-            val = reader.name()
-            try:
-                i = space.var_index(var)
-                v = space.value_index(i, val)
-            except ValueError as exc:
-                raise reader.error(f"statement {stmt_name}: {exc}") from None
-            if i in vals:
-                raise reader.error(
-                    f"statement {stmt_name}: variable {var!r} assigned twice "
-                    f"on one side")
-            vals[i] = v
-            if reader.try_token("]"):
-                break
-            reader.expect(",")
-    return PartialAssignment(space, vals)
-
-
-def _parse_held(reader: _Reader, space: VariableSpace, stmt_name: str) -> int:
-    if not reader.try_token("||"):
-        return 0
-    reader.expect("{")
-    mask = 0
-    if not reader.try_token("}"):
-        while True:
-            var = reader.name()
-            try:
-                mask |= 1 << space.var_index(var)
-            except ValueError as exc:
-                raise reader.error(f"statement {stmt_name}: {exc}") from None
-            if reader.try_token("}"):
-                break
-            reader.expect(",")
-    return mask
-
-
-def _parse_op(reader: _Reader) -> StatementKind:
-    for token in (">=", ">>", ">"):
-        if reader.try_token(token):
-            return _OPS[token]
-    raise reader.error("expected one of '>=', '>>', '>'")
-
-
-def parse_statement_expr(reader: _Reader, space: VariableSpace,
-                         outcomes: dict[str, Outcome],
-                         stmt_name: str) -> PrefStatement:
-    if reader.try_keyword("not"):
-        reader.expect("(")
-        p = _parse_side(reader, space, stmt_name)
-        if not reader.try_token(">="):
-            raise reader.error(
-                f"statement {stmt_name}: only non-strict statements can be "
-                f"negated")
-        q = _parse_side(reader, space, stmt_name)
-        t_mask = _parse_held(reader, space, stmt_name)
-        reader.expect(")")
-        try:
-            inner = canonicalize(space, p, q, t_mask,
-                                 StatementKind.NON_STRICT, label=stmt_name)
-            return negate_non_strict(inner, label=stmt_name)
-        except ValueError as exc:
-            raise reader.error(f"statement {stmt_name}: {exc}") from None
-    if reader.peek() == "[":
-        p = _parse_side(reader, space, stmt_name)
-        kind = _parse_op(reader)
-        q = _parse_side(reader, space, stmt_name)
-        t_mask = _parse_held(reader, space, stmt_name)
-        try:
-            return canonicalize(space, p, q, t_mask, kind, label=stmt_name)
-        except ValueError as exc:
-            raise reader.error(f"statement {stmt_name}: {exc}") from None
-    left_name = reader.name()
-    kind = _parse_op(reader)
-    right_name = reader.name()
-    for name in (left_name, right_name):
-        if name not in outcomes:
-            raise reader.error(
-                f"statement {stmt_name}: unknown outcome {name!r}")
-    left, right = outcomes[left_name], outcomes[right_name]
-    p = PartialAssignment(space, dict(enumerate(left.values)))
-    q = PartialAssignment(space, dict(enumerate(right.values)))
+def _outcome(outcomes: dict[str, Outcome], name: str) -> Outcome:
     try:
-        return canonicalize(space, p, q, 0, kind, label=stmt_name)
-    except ValueError as exc:
-        raise reader.error(f"statement {stmt_name}: {exc}") from None
+        return outcomes[name]
+    except KeyError:
+        raise ValueError(f"unknown outcome {name!r}") from None
+
+
+def _statement(text: str, space: VariableSpace, outcomes: dict[str, Outcome],
+               label: str) -> PrefStatement:
+    """One statement in any of the three shapes; errors are ``ValueError``."""
+    match = _STMT_RE.match(text)
+    if match:
+        p, q = (space.partial(_assignment(match[side])) for side in "pq")
+        held = match["t"] or ""
+        t_vars = [v.strip() for v in held.split(",")] if held.strip() else []
+        negated = match["neg"] is not None
+    else:
+        match = _CMP_RE.match(text)
+        if match is None or match["op"] == "==":
+            raise ValueError(_SHAPES)
+        p, q = (PartialAssignment(
+            space, dict(enumerate(_outcome(outcomes, match[side]).values)))
+            for side in ("left", "right"))
+        t_vars, negated = [], False
+    if match.end() < len(text):
+        raise ValueError(f"trailing input at column {match.end() + 1}")
+    st = canonicalize(space, p, q, t_vars, _OPS[match["op"]], label=label)
+    return negate_non_strict(st, label=label) if negated else st
 
 
 def parse_instance(text: str) -> Instance:
@@ -250,21 +169,8 @@ def parse_instance(text: str) -> Instance:
             name = head_parts[1]
             if name in outcomes:
                 raise ParseError(f"outcome {name!r} declared twice", lineno)
-            assignment: dict[str, str] = {}
-            for item in rest.split(","):
-                var, sep2, val = item.partition("=")
-                if not sep2:
-                    raise ParseError(
-                        f"outcome {name}: expected VAR=val, got {item.strip()!r}",
-                        lineno)
-                var, val = var.strip(), val.strip()
-                if var in assignment:
-                    raise ParseError(
-                        f"outcome {name}: variable {var!r} assigned twice",
-                        lineno)
-                assignment[var] = val
             try:
-                outcomes[name] = space.outcome(assignment)
+                outcomes[name] = space.outcome(_assignment(rest))
             except ValueError as exc:
                 raise ParseError(f"outcome {name}: {exc}", lineno) from None
             continue
@@ -275,14 +181,11 @@ def parse_instance(text: str) -> Instance:
             name = head_parts[1]
             if name in stmt_names:
                 raise ParseError(f"statement {name!r} declared twice", lineno)
-            reader = _Reader(rest, lineno)
-            st = parse_statement_expr(reader, space, outcomes, name)
-            if not reader.at_end():
-                raise ParseError(
-                    f"statement {name}: trailing input at column "
-                    f"{reader.pos + 1}", lineno)
+            try:
+                statements.append(_statement(rest, space, outcomes, name))
+            except ValueError as exc:
+                raise ParseError(f"statement {name}: {exc}", lineno) from None
             stmt_names.add(name)
-            statements.append(st)
             continue
 
         if keyword == "alts" and len(head_parts) == 1:
@@ -316,32 +219,17 @@ def parse_query(instance: Instance, text: str):
     Returns ``("cmp", op, left, right)`` for ``NAME >=|>|== NAME`` or
     ``("stmt", statement)`` for anything in statement syntax.
     """
-    probe = _Reader(text, 1)
-    if probe.peek() == "[" or probe.try_keyword("not"):
-        reader = _Reader(text, 1)
-        st = parse_statement_expr(reader, instance.space, instance.outcomes,
-                                  "query")
-        if not reader.at_end():
-            raise ParseError("query: trailing input", None)
-        return ("stmt", st)
-    reader = _Reader(text, 1)
-    left = reader.name()
-    op = None
-    for token in (">=", ">>", "==", ">"):
-        if reader.try_token(token):
-            op = token
-            break
-    if op is None:
-        raise ParseError("query: expected one of '>=', '>', '>>', '=='", None)
-    right = reader.name()
-    if not reader.at_end():
-        raise ParseError("query: trailing input", None)
-    for name in (left, right):
-        if name not in instance.outcomes:
-            raise ParseError(f"query: unknown outcome {name!r}", None)
-    if op == ">>":
-        op = ">"
-    return ("cmp", op, instance.outcomes[left], instance.outcomes[right])
+    try:
+        match = _CMP_RE.fullmatch(text)
+        if match is None:
+            return ("stmt", _statement(text, instance.space,
+                                       instance.outcomes, "query"))
+        left, right = (_outcome(instance.outcomes, match[side])
+                       for side in ("left", "right"))
+    except ValueError as exc:
+        raise ParseError(f"query: {exc}", None) from None
+    op = match["op"]
+    return ("cmp", ">" if op == ">>" else op, left, right)
 
 
 def _format_side(assignment: PartialAssignment) -> str:

@@ -9,6 +9,7 @@ the fast engine is tested against, so it must stay dumb enough to trust.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -26,25 +27,15 @@ def model_count(space: VariableSpace) -> int:
     choices per chosen variable).
     """
     n = space.n
-    fact = [1] * (n + 1)
-    for k in range(2, n + 1):
-        fact[k] = fact[k - 1] * k
-    dfact = [fact_of(space.domain_size(i)) for i in range(n)]
+    dfact = [math.factorial(space.domain_size(i)) for i in range(n)]
     total = 0
     for subset in itertools.chain.from_iterable(
             itertools.combinations(range(n), k) for k in range(n + 1)):
-        prod = fact[len(subset)]
+        prod = math.factorial(len(subset))
         for i in subset:
             prod *= dfact[i]
         total += prod
     return total
-
-
-def fact_of(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def enumerate_models(space: VariableSpace,

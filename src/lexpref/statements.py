@@ -25,6 +25,7 @@ asks whether some extension of the model satisfies the statement.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import product
 from typing import Iterable, NamedTuple
 
 from .core import (LexModel, Outcome, PartialAssignment, VariableSpace,
@@ -276,38 +277,21 @@ def pairs(statement: PrefStatement,
     left_free = sorted(iter_bits(space.full_mask & ~(st.u_mask | st.r_mask)))
     right_free = sorted(iter_bits(
         space.full_mask & ~(st.u_mask | st.s_mask | st.t_mask)))
+    left_ranges = [range(space.domain_size(v)) for v in left_free]
+    right_ranges = [range(space.domain_size(v)) for v in right_free]
     t_vars = sorted(iter_bits(st.t_mask))
     out: set[OutcomePair] = set()
-    for left_vals in _assignments(space, left_free):
+    for left_vals in product(*left_ranges):
         alpha_vals = list(left_fixed.items()) + list(zip(left_free, left_vals))
         alpha = _build_outcome(space, alpha_vals)
         base = dict(right_fixed)
         for t in t_vars:
             base[t] = alpha.values[t]
-        for right_vals in _assignments(space, right_free):
+        for right_vals in product(*right_ranges):
             beta_vals = list(base.items()) + list(zip(right_free, right_vals))
             beta = _build_outcome(space, beta_vals)
             out.add(OutcomePair(alpha, beta))
     return out
-
-
-def _assignments(space: VariableSpace, variables: list[int]):
-    if not variables:
-        yield ()
-        return
-    sizes = [space.domain_size(v) for v in variables]
-    values = [0] * len(variables)
-    while True:
-        yield tuple(values)
-        i = len(variables) - 1
-        while i >= 0:
-            values[i] += 1
-            if values[i] < sizes[i]:
-                break
-            values[i] = 0
-            i -= 1
-        if i < 0:
-            return
 
 
 def _build_outcome(space: VariableSpace, items) -> Outcome:

@@ -2,8 +2,9 @@
 
 import pytest
 
-from lexpref import (ParseError, StatementKind, consistent, entails,
-                     format_instance, parse_instance, parse_query)
+from lexpref import (GenConfig, Instance, ParseError, StatementKind,
+                     consistent, entails, format_instance, gen_instance,
+                     parse_instance, parse_query)
 
 FLIGHT_FILE = """\
 # flight booking example
@@ -60,18 +61,43 @@ stmt s5: [] >= [x=a]
 
     def test_round_trip_is_lossless_modulo_canonical_form(self):
         inst = parse_instance(FLIGHT_FILE)
-        text = format_instance(inst)
-        again = parse_instance(text)
+        again = parse_instance(format_instance(inst))
         assert again.space == inst.space
         assert again.alt_names == inst.alt_names
-        assert [format_instance(i) for i in (inst, again)][0] == \
-            format_instance(again)
+        assert format_instance(inst) == format_instance(again)
+        # Generated sets are the inputs that mix all four kinds with held
+        # sets: the re-parsed statements must equal the generated ones.
+        for n, g, seed in ((4, 12, 1), (8, 40, 2), (12, 60, 3)):
+            gen = gen_instance(GenConfig(n=n, g=g, m=5, seed=seed,
+                                         domain_max=4))
+            names = tuple(f"a{i}" for i in range(len(gen.alternatives)))
+            inst = Instance(space=gen.space,
+                            outcomes=dict(zip(names, gen.alternatives.outcomes)),
+                            statements=gen.gamma, alt_names=names)
+            again = parse_instance(format_instance(inst))
+            assert format_instance(again) == format_instance(inst)
+            assert len(again.statements) == len(gen.gamma)
+            for got, want in zip(again.statements, gen.gamma):
+                assert (got.kind, got.label, got.u, got.r, got.s,
+                        got.t_mask) == (want.kind, want.label, want.u,
+                                        want.r, want.s, want.t_mask)
 
     def test_outcome_names_can_start_with_keyword_letters(self):
         text = ("var x: a, b\noutcome north: x=a\noutcome s: x=b\n"
                 "stmt q: north > s\n")
         inst = parse_instance(text)
         assert inst.statements[0].kind is StatementKind.WEAKLY_STRICT
+
+    def test_outcome_named_not(self):
+        # 'not' opens a negation only when '(' follows it.
+        text = ("var x: a, b\noutcome not: x=a\noutcome s: x=b\n"
+                "stmt q: not > s\n")
+        inst = parse_instance(text)
+        assert inst.statements[0].kind is StatementKind.WEAKLY_STRICT
+        assert inst.statements[0].r.as_dict() == {"x": "a"}
+        kind, op, left, _ = parse_query(inst, "not > s")
+        assert (kind, op) == ("cmp", ">")
+        assert left is inst.outcomes["not"]
 
     def test_negated_statement_round_trips(self):
         text = ("var x: a, b\nvar y: c, d\n"
@@ -105,6 +131,11 @@ class TestParseErrors:
         ("var x: a, b\nalts: o\n", "unknown outcome"),
         ("", "no variables"),
         ("var x: a, b\noutcome o: x=a\nvar y: c, d\n", "must precede"),
+        ("var x: a, b\nstmt s: not ([x=a] >= [x=b]\n", "line 2: statement s"),
+        ("var x: a, b\nstmt s: [x=a >= [x=b]\n", "line 2: statement s"),
+        ("var x: a, b\nvar y: c, d\nstmt s: [x=a] >= [x=b] || {y\n",
+         "line 3: statement s"),
+        ("var x: a, b\nstmt s: [x] >= [x=b]\n", "line 2: statement s"),
     ])
     def test_positioned_errors(self, text, fragment):
         with pytest.raises(ParseError) as err:
