@@ -21,9 +21,10 @@ be omitted when empty.  Names are runs of letters, digits and ``_.+-``;
 ``not`` starts a negation only when ``(`` follows it, so it is also a valid
 outcome name.  Variable declarations must precede everything else.
 
-Every error in a file names its line, and trailing input after a statement
-also its column.  Re-serialising a parsed file is lossless up to
-canonicalisation of the statements.
+Every error in a file names its line; trailing input after a statement and
+an unclosed held set also give their column, counted from the start of the
+line (of the query, for a query).  Re-serialising a parsed file is lossless
+up to canonicalisation of the statements.
 """
 
 from __future__ import annotations
@@ -45,13 +46,14 @@ _OPS = {">=": StatementKind.NON_STRICT,
 _STMT_RE = re.compile(
     r"\s*(?P<neg>not\s*\(\s*)?"
     r"\[(?P<p>[^\[\]]*)\]\s*(?P<op>>=|>>|>)\s*\[(?P<q>[^\[\]]*)\]"
-    r"(?:\s*\|\|\s*\{(?P<t>[^{}]*)\})?"
+    r"(?:\s*\|\|\s*\{(?P<t>[^{}]*)(?P<close>\})?)?"
     r"(?(neg)\s*\))\s*")
 _CMP_RE = re.compile(
     rf"\s*(?P<left>{_NAME})\s*(?P<op>>=|>>|==|>)\s*(?P<right>{_NAME})\s*")
 _SHAPES = ("expected '[VAR=val, ...] OP [VAR=val, ...] || {VAR, ...}', "
            "'not ([...] >= [...] || {...})' or 'OUTCOME OP OUTCOME', "
            "with OP one of '>=', '>>', '>'")
+_QUERY_SHAPES = _SHAPES + " ('==' too, between outcomes)"
 
 
 @dataclass
@@ -94,25 +96,38 @@ def _outcome(outcomes: dict[str, Outcome], name: str) -> Outcome:
         raise ValueError(f"unknown outcome {name!r}") from None
 
 
-def _statement(text: str, space: VariableSpace, outcomes: dict[str, Outcome],
-               label: str) -> PrefStatement:
-    """One statement in any of the three shapes; errors are ``ValueError``."""
-    match = _STMT_RE.match(text)
-    if match:
+def _shape(text: str, offset: int, query: bool) -> re.Match:
+    """Match one statement (or query) shape against all of ``text``.
+
+    Columns in errors are 1-based and count ``offset`` characters before
+    ``text``; errors are ``ValueError``.
+    """
+    match = _STMT_RE.match(text) or _CMP_RE.match(text)
+    if match is None or (match.re is _CMP_RE and match["op"] == "=="
+                         and not query):
+        raise ValueError(_QUERY_SHAPES if query else _SHAPES)
+    if match.re is _STMT_RE and match["t"] is not None and not match["close"]:
+        raise ValueError(f"held set opened at column "
+                         f"{offset + match.start('t')} lacks its closing '}}'")
+    if match.end() < len(text):
+        raise ValueError(
+            f"trailing input at column {offset + match.end() + 1}")
+    return match
+
+
+def _statement(match: re.Match, space: VariableSpace,
+               outcomes: dict[str, Outcome], label: str) -> PrefStatement:
+    """The statement a ``_shape`` match spells; errors are ``ValueError``."""
+    if match.re is _STMT_RE:
         p, q = (space.partial(_assignment(match[side])) for side in "pq")
         held = match["t"] or ""
         t_vars = [v.strip() for v in held.split(",")] if held.strip() else []
         negated = match["neg"] is not None
     else:
-        match = _CMP_RE.match(text)
-        if match is None or match["op"] == "==":
-            raise ValueError(_SHAPES)
         p, q = (PartialAssignment(
             space, dict(enumerate(_outcome(outcomes, match[side]).values)))
             for side in ("left", "right"))
         t_vars, negated = [], False
-    if match.end() < len(text):
-        raise ValueError(f"trailing input at column {match.end() + 1}")
     st = canonicalize(space, p, q, t_vars, _OPS[match["op"]], label=label)
     return negate_non_strict(st, label=label) if negated else st
 
@@ -181,8 +196,11 @@ def parse_instance(text: str) -> Instance:
             name = head_parts[1]
             if name in stmt_names:
                 raise ParseError(f"statement {name!r} declared twice", lineno)
+            # columns count from the start of the raw line
+            offset = len(raw) - len(raw.lstrip()) + len(head) + 1
             try:
-                statements.append(_statement(rest, space, outcomes, name))
+                statements.append(_statement(
+                    _shape(rest, offset, query=False), space, outcomes, name))
             except ValueError as exc:
                 raise ParseError(f"statement {name}: {exc}", lineno) from None
             stmt_names.add(name)
@@ -220,9 +238,9 @@ def parse_query(instance: Instance, text: str):
     ``("stmt", statement)`` for anything in statement syntax.
     """
     try:
-        match = _CMP_RE.fullmatch(text)
-        if match is None:
-            return ("stmt", _statement(text, instance.space,
+        match = _shape(text, 0, query=True)
+        if match.re is _STMT_RE:
+            return ("stmt", _statement(match, instance.space,
                                        instance.outcomes, "query"))
         left, right = (_outcome(instance.outcomes, match[side])
                        for side in ("left", "right"))

@@ -12,11 +12,17 @@ of them once every statement composes (which all statements here do):
 * ``NO``  optimal in every model (necessarily optimal)
 
 Membership reduces to consistency: one engine run per alternative for PO
-and PSO, one per competitor for CSD and NO.  Alternatives agreeing on the
-maximal model's variables are interchangeable in every model, so all
-computations run on one representative per equivalence class and expand
-afterwards.  ``compute_sets`` walks the inclusion chain NO ⊆ PSO ⊆ PO,
-PSO ⊆ CSD: PSO is tested only on PO members and CSD only outside PSO.
+and PSO, one per competitor for CSD and NO.  Every model a successful run
+returns, and the maximal model, is kept as certificates of which
+representatives it makes optimal, alone at the top, or strictly above
+which others; a test such a certificate covers runs no kernel.  That is
+sound because the model satisfies the statement set plus the test's
+comparisons, so the set is consistent, which is exactly what the kernel
+decides.  Alternatives agreeing on the maximal model's variables are
+interchangeable in every model, so all computations run on one
+representative per equivalence class and expand afterwards.
+``compute_sets`` walks the inclusion chain NO ⊆ PSO ⊆ PO, PSO ⊆ CSD: PSO
+is tested only on PO members and CSD only outside PSO.
 
 NO needs no engine run: it is PSO when PSO is a single class, and empty
 otherwise.  Let M be any model of the statement set and M* the greedy
@@ -39,7 +45,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import LexModel, Outcome, VariableSpace, iter_bits
-from .engine import (EncodedGamma, consistent_from_encoding,
+# consistent_with_comparisons stays importable here: perfbench/spans.py
+# hooks it as this module's comparison-test span.
+from .engine import (EncodedGamma, consistent_from_encoding,  # noqa: F401
                      consistent_with_comparisons)
 from .errors import InconsistentError
 from .statements import PrefStatement
@@ -157,11 +165,16 @@ def equivalence_classes(space: VariableSpace, gamma: Sequence[PrefStatement],
 
 
 class _MembershipRun:
-    """Shared state for membership tests over one instance."""
+    """Shared state for membership tests over one instance.
+
+    Every model of the statement set seen so far is kept as certificates
+    over the class representatives: ``top[p]`` when p was optimal in one,
+    ``sole_top[p]`` when p alone was, ``beats[p, q]`` when p was strictly
+    above q.  A test that a certificate already answers runs no kernel.
+    """
 
     def __init__(self, space: VariableSpace, gamma: Sequence[PrefStatement],
                  alternatives: AlternativeSet):
-        self.space = space
         self.alternatives = alternatives
         self.enc = EncodedGamma(space, gamma)
         res = consistent_from_encoding(self.enc)
@@ -169,33 +182,64 @@ class _MembershipRun:
             raise InconsistentError("statement set has no model")
         self.eq_classes = _class_partition(res.witness.vmask, alternatives)
         self.reps = [cls[0] for cls in self.eq_classes]
-        self.rep_outcomes = [alternatives[i] for i in self.reps]
-        self.matrix = alternatives.matrix()
+        self.rep_matrix = alternatives.matrix()[self.reps]
+        k = len(self.reps)
+        self.top = np.zeros(k, np.bool_)
+        self.sole_top = np.zeros(k, np.bool_)
+        self.beats = np.zeros((k, k), np.bool_)
+        self._record(np.array([res.witness.key(alternatives[i])
+                               for i in self.reps]).reshape(k, -1))
+
+    def _record(self, keys: np.ndarray) -> None:
+        """Add the certificates of a model given each rep's stage-wise key.
+
+        ``keys[p]`` ranks rep p's value at each stage of the model (0 best),
+        so reps compare as their rows do lexicographically.
+        """
+        order = (np.lexsort(keys.T[::-1]) if keys.size
+                 else np.arange(len(keys)))   # a model with no stage
+        ranked = keys[order]
+        rank = np.empty(len(order), np.int64)
+        rank[order] = np.concatenate(
+            ([0], np.cumsum(np.any(ranked[1:] != ranked[:-1], axis=1))))
+        best = rank == 0
+        self.top |= best
+        if np.count_nonzero(best) == 1:
+            self.sole_top |= best
+        self.beats |= rank[:, None] < rank[None, :]
+
+    def _holds(self, left: np.ndarray, right: np.ndarray,
+               strict: bool) -> bool:
+        """Does some model put each left row above its right row?
+
+        One kernel run; the model it returns, if any, is recorded.
+        """
+        ok, nstages, stage_vars, orders, *_ = self.enc.run(
+            left, right, np.full(len(left), strict, np.bool_))
+        if ok != 1:
+            return False
+        stage_orders = orders[stage_vars[:nstages]]
+        values = self.rep_matrix[:, stage_vars[:nstages]]
+        self._record((stage_orders[None] == values[:, :, None]).argmax(axis=2))
+        return True
 
     def _one_vs_rest(self, rep_pos: int, strict: bool) -> bool:
-        others = [p for p in range(len(self.reps)) if p != rep_pos]
-        if not others:
-            return True
-        n = self.space.n
-        k = len(others)
-        xleft = np.empty((k, n), np.int16)
-        xleft[:] = self.matrix[self.reps[rep_pos]]
-        xright = np.ascontiguousarray(
-            self.matrix[[self.reps[p] for p in others]])
-        xstrict = np.full(k, strict, np.bool_)
-        ok, *_ = self.enc.run(xleft, xright, xstrict)
-        return ok == 1
+        rest = np.delete(self.rep_matrix, rep_pos, axis=0)
+        left = np.repeat(self.rep_matrix[rep_pos:rep_pos + 1], len(rest), 0)
+        return self._holds(left, rest, strict)
 
     def po_rep(self, rep_pos: int) -> bool:
-        return self._one_vs_rest(rep_pos, strict=False)
+        return (bool(self.top[rep_pos])
+                or self._one_vs_rest(rep_pos, strict=False))
 
     def pso_rep(self, rep_pos: int) -> bool:
-        return self._one_vs_rest(rep_pos, strict=True)
+        return (bool(self.sole_top[rep_pos])
+                or self._one_vs_rest(rep_pos, strict=True))
 
     def _pair(self, left_rep: int, right_rep: int) -> bool:
-        left = self.rep_outcomes[left_rep]
-        right = self.rep_outcomes[right_rep]
-        return consistent_with_comparisons(self.enc, [(left, right, True)])
+        return bool(self.beats[left_rep, right_rep]) or self._holds(
+            self.rep_matrix[left_rep:left_rep + 1],
+            self.rep_matrix[right_rep:right_rep + 1], strict=True)
 
     def csd_rep(self, rep_pos: int) -> bool:
         # undominated: the alternative can strictly beat every

@@ -136,6 +136,15 @@ class TestParseErrors:
         ("var x: a, b\nvar y: c, d\nstmt s: [x=a] >= [x=b] || {y\n",
          "line 3: statement s"),
         ("var x: a, b\nstmt s: [x] >= [x=b]\n", "line 2: statement s"),
+        # columns count from the start of the line, indentation included
+        ("var x: a, b\nstmt s: [x=a] >= [x=b] trailing\n",
+         "line 2: statement s: trailing input at column 24"),
+        ("var x: a, b\n  stmt s: [x=a] >= [x=b] trailing\n",
+         "trailing input at column 26"),
+        ("var x: a, b\nvar y: c, d\nstmt s: [x=a] >= [x=b] || {y\n",
+         "held set opened at column 27 lacks its closing '}'"),
+        ("var x: a, b\noutcome o: x=a\noutcome p: x=b\nstmt s: o == p\n",
+         "line 4: statement s: expected"),
     ])
     def test_positioned_errors(self, text, fragment):
         with pytest.raises(ParseError) as err:
@@ -166,6 +175,26 @@ class TestQueries:
         kind, st = parse_query(inst, "not ([airline=KLM] >= [airline=LAN])")
         assert kind == "stmt"
         assert st.kind is StatementKind.NEGATED_NON_STRICT
+
+    def test_query_errors_count_columns_from_the_query(self):
+        inst = parse_instance(FLIGHT_FILE)
+        text = "[airline=KLM] >= [airline=LAN] || {time"
+        with pytest.raises(ParseError) as err:
+            parse_query(inst, text)
+        assert (f"query: held set opened at column {text.index('{') + 1} "
+                f"lacks its closing '}}'") in str(err.value)
+        with pytest.raises(ParseError, match="trailing input at column 7"):
+            parse_query(inst, "a > b extra")
+
+    def test_shape_message_lists_equivalence_for_queries_only(self):
+        inst = parse_instance(FLIGHT_FILE)
+        with pytest.raises(ParseError) as query_err:
+            parse_query(inst, "a <> b")
+        assert "'=='" in str(query_err.value)
+        with pytest.raises(ParseError) as file_err:
+            parse_instance(FLIGHT_FILE + "stmt s9: a == b\n")
+        assert "OP one of" in str(file_err.value)
+        assert "'=='" not in str(file_err.value)
 
     def test_bad_queries_rejected(self):
         inst = parse_instance(FLIGHT_FILE)

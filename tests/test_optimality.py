@@ -4,13 +4,17 @@ import pytest
 
 from helpers import (FLIGHT_A, FLIGHT_B, FLIGHT_D, FLIGHT_G,
                      FLIGHT_SPACE, random_gamma, small_space)
-from lexpref import (AlternativeSet, InconsistentError, LexModel, OptimalSets,
-                     StatementKind, brute_consistent,
+from lexpref import (AlternativeSet, Cmp, InconsistentError, LexModel,
+                     OptimalSets, StatementKind, brute_consistent,
                      brute_optimal_sets, canonicalize, compute_sets,
-                     compute_sets_timed, csd_membership, enumerate_models,
-                     equivalence_classes, no_membership, optimal_in_model,
-                     outcome_comparison, po_membership, pso_membership)
+                     compute_sets_timed, consistent, csd_membership,
+                     enumerate_models, equivalence_classes, lex_compare,
+                     no_membership, optimal_in_model, outcome_comparison,
+                     po_membership, pso_membership, satisfies)
+from lexpref.engine import (EncodedGamma, _model_from_arrays,
+                            consistent_with_comparisons)
 from lexpref.generator import GenConfig, gen_instance
+from lexpref.optimality import _MembershipRun
 from lexpref.rng import SplitMix64, derive_seed
 
 SP = FLIGHT_SPACE
@@ -196,20 +200,68 @@ def chain_instance(n, g, domain_max, rep):
     return gen.space, gen.gamma, gen.alternatives
 
 
+class PlainTests:
+    """Each class's membership test by kernel runs alone: one run per test,
+    nothing remembered between tests."""
+
+    def __init__(self, space, gamma, alts):
+        self.enc = EncodedGamma(space, gamma)
+        self.eq_classes = equivalence_classes(space, gamma, alts)
+        self.reps = [alts[cls[0]] for cls in self.eq_classes]
+
+    def holds(self, rows) -> bool:
+        return not rows or consistent_with_comparisons(self.enc, rows)
+
+    def above_rest(self, p, strict) -> bool:
+        return self.holds([(self.reps[p], other, strict)
+                           for q, other in enumerate(self.reps) if q != p])
+
+    def beats(self, p, q) -> bool:
+        return self.holds([(self.reps[p], self.reps[q], True)])
+
+    def member(self, name, p) -> bool:
+        others = [q for q in range(len(self.reps)) if q != p]
+        if name == "po":
+            return self.above_rest(p, strict=False)
+        if name == "pso":
+            return self.above_rest(p, strict=True)
+        if name == "csd":
+            return all(self.beats(p, q) for q in others)
+        return not any(self.beats(q, p) for q in others)
+
+    def chain(self):
+        """The classes walked in ``compute_sets``'s order: PO on every
+        class, PSO on PO, CSD outside PSO, NO read off PSO."""
+        every = range(len(self.reps))
+        po = [p for p in every if self.member("po", p)]
+        pso = [p for p in po if self.member("pso", p)]
+        csd = pso + [p for p in every
+                     if p not in pso and self.member("csd", p)]
+        no = pso if len(pso) == 1 else []
+        return {name: frozenset(i for p in held for i in self.eq_classes[p])
+                for name, held in (("po", po), ("pso", pso), ("csd", csd),
+                                   ("no", no))}
+
+
 class TestChainAgainstDirectDefinitions:
-    # beyond the oracle's reach: the chain shortcuts of compute_sets must
-    # match each class's own membership test on every alternative.  The
-    # desk grid (n, g) gives PO = PSO = CSD, so two more instances add
-    # classes outside PSO that lie in PO, and in CSD.
+    # beyond the oracle's reach: compute_sets, with its chain shortcuts and
+    # certificates, must match each class's own membership test answered by
+    # kernel runs alone, and so must the *_membership functions.  The desk
+    # grid (n, g) gives PO = PSO = CSD, so two more instances add classes
+    # outside PSO that lie in PO, and in CSD.
     @pytest.mark.parametrize("n,g,domain_max,rep,beyond_pso", CHAIN_CASES)
     def test_generated_instance(self, n, g, domain_max, rep, beyond_pso):
         space, gamma, alts = chain_instance(n, g, domain_max, rep)
         got = compute_sets(space, gamma, alts)
+        plain = PlainTests(space, gamma, alts)
+        assert got.eq_classes == plain.eq_classes
         for name, member in (("po", po_membership), ("pso", pso_membership),
                              ("csd", csd_membership), ("no", no_membership)):
-            want = frozenset(i for i, alpha in enumerate(alts)
-                             if member(space, gamma, alts, alpha))
+            want = frozenset(i for p, cls in enumerate(plain.eq_classes)
+                             if plain.member(name, p) for i in cls)
             assert getattr(got, name) == want, name
+            assert want == frozenset(i for i, alpha in enumerate(alts)
+                                     if member(space, gamma, alts, alpha)), name
         if beyond_pso:
             assert getattr(got, beyond_pso) > got.pso
 
@@ -223,3 +275,99 @@ class TestChainAgainstDirectDefinitions:
                               if cls[0] in sets.pso)
             shapes.add((pso_classes == 1, bool(sets.no)))
         assert {(True, True), (False, False)} <= shapes
+
+
+def oracle_scale_instances(count):
+    """Consistent random statement sets on 2-3 variables with 2-6
+    alternatives, as in ``TestAgainstOracle``."""
+    rng = SplitMix64(347)
+    found = 0
+    while found < count:
+        space = small_space(rng)
+        gamma = random_gamma(rng, space, max_statements=3)
+        if not consistent(space, gamma, verify=False).consistent:
+            continue
+        pool = list(space.iter_outcomes())
+        rng.shuffle(pool)
+        m = 2 + rng.randrange(min(5, len(pool) - 1))
+        yield space, gamma, AlternativeSet(space, pool[:m])
+        found += 1
+
+
+class TestCertificates:
+    @pytest.mark.parametrize("source", ["chain", "oracle"])
+    def test_every_certificate_is_sound(self, source, monkeypatch):
+        instances = ([chain_instance(n, g, d, rep)
+                      for n, g, d, rep, _ in CHAIN_CASES]
+                     if source == "chain" else oracle_scale_instances(200))
+        original = EncodedGamma.run
+        for space, gamma, alts in instances:
+            models = []
+
+            def recording(self, *args, **kwargs):
+                result = original(self, *args, **kwargs)
+                ok, nstages, stage_vars, orders, *_ = result
+                if ok == 1:
+                    models.append(_model_from_arrays(space, nstages,
+                                                     stage_vars, orders))
+                return result
+
+            with monkeypatch.context() as patch:
+                patch.setattr(EncodedGamma, "run", recording)
+                run = _MembershipRun(space, gamma, alts)
+                k = len(run.reps)
+                for test in (run.po_rep, run.pso_rep, run.csd_rep, run.no_rep):
+                    for p in range(k):
+                        test(p)
+            # the maximal model, then one model per successful kernel run
+            assert models
+            for model in models:
+                assert all(satisfies(model, st) for st in gamma)
+            reps = [alts[i] for i in run.reps]
+            rep_set = AlternativeSet(space, reps)
+            tops = [optimal_in_model(model, rep_set) for model in models]
+            assert [bool(run.top[p]) for p in range(k)] == [
+                any(p in top for top in tops) for p in range(k)]
+            assert [bool(run.sole_top[p]) for p in range(k)] == [
+                any(top == {p} for top in tops) for p in range(k)]
+            assert [[bool(run.beats[p, q]) for q in range(k)]
+                    for p in range(k)] == [
+                [any(lex_compare(model, reps[p], reps[q]) is Cmp.BETTER
+                     for model in models) for q in range(k)]
+                for p in range(k)]
+            # each certificate answers what a plain kernel run answers
+            plain = PlainTests(space, gamma, alts)
+            for p in range(k):
+                if run.top[p]:
+                    assert plain.above_rest(p, strict=False)
+                if run.sole_top[p]:
+                    assert plain.above_rest(p, strict=True)
+                for q in range(k):
+                    if run.beats[p, q]:
+                        assert plain.beats(p, q)
+
+    def test_certificates_save_kernel_runs(self, monkeypatch):
+        # compute_sets makes at most the runs of the plain chain on every
+        # case, and strictly fewer in total; a pipeline that stops
+        # consulting its certificates makes exactly as many
+        calls = [0]
+        original = EncodedGamma.run
+
+        def counted(self, *args, **kwargs):
+            calls[0] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(EncodedGamma, "run", counted)
+        cached, plain = [], []
+        for n, g, domain_max, rep, _ in CHAIN_CASES:
+            space, gamma, alts = chain_instance(n, g, domain_max, rep)
+            calls[0] = 0
+            got = compute_sets(space, gamma, alts)
+            cached.append(calls[0])
+            calls[0] = 0
+            want = PlainTests(space, gamma, alts).chain()
+            plain.append(calls[0])
+            assert {"po": got.po, "pso": got.pso, "csd": got.csd,
+                    "no": got.no} == want
+        assert all(c <= p for c, p in zip(cached, plain)), (cached, plain)
+        assert sum(cached) < sum(plain), (cached, plain)
