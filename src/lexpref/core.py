@@ -135,9 +135,13 @@ class VariableSpace:
         return Outcome(self, tuple(values))
 
     def partial(self, assignment: Mapping[str, str]) -> "PartialAssignment":
-        vals = {self.var_index(v): self.value_index(self.var_index(v), val)
-                for v, val in assignment.items()}
-        return PartialAssignment(self, vals)
+        vals = {}
+        mask = 0
+        for v, val in assignment.items():
+            i = self.var_index(v)
+            vals[i] = self.value_index(i, val)
+            mask |= 1 << i
+        return PartialAssignment._trusted(self, vals, mask)
 
     def value_order(self, var: str, ranking: Sequence[str]) -> "TotalValueOrder":
         i = self.var_index(var)
@@ -146,10 +150,6 @@ class VariableSpace:
     def model(self, stages: Sequence[tuple[str, Sequence[str]]]) -> "LexModel":
         """Build a lexicographic model from (variable, best-first values) pairs."""
         return LexModel(self, tuple(self.value_order(v, order) for v, order in stages))
-
-    def canonical_order(self, var: int) -> "TotalValueOrder":
-        """Declaration-order ranking for ``var`` (the deterministic default)."""
-        return TotalValueOrder(self, var, tuple(range(self.domain_size(var))))
 
     def outcome_count(self) -> int:
         count = 1
@@ -202,7 +202,11 @@ class Outcome:
 
 
 class PartialAssignment:
-    """An assignment to a subset of the variables."""
+    """An assignment to a subset of the variables.
+
+    The constructor checks every index; :meth:`_trusted` checks none and may
+    only be given indices already validated against ``space``.
+    """
 
     __slots__ = ("space", "vals", "mask")
 
@@ -219,6 +223,16 @@ class PartialAssignment:
         self.vals = dict(vals)
         self.mask = mask
 
+    @classmethod
+    def _trusted(cls, space: VariableSpace, vals: dict[int, int],
+                 mask: int) -> "PartialAssignment":
+        """Unchecked; owns ``vals``, whose keys are exactly ``mask``'s bits."""
+        pa = object.__new__(cls)
+        pa.space = space
+        pa.vals = vals
+        pa.mask = mask
+        return pa
+
     @property
     def scope(self) -> frozenset[str]:
         return self.space.names_of(self.mask)
@@ -232,10 +246,6 @@ class PartialAssignment:
     def as_dict(self) -> dict[str, str]:
         return {self.space.variables[i]: self.space.domains[i][v]
                 for i, v in sorted(self.vals.items())}
-
-    def restrict(self, mask: int) -> "PartialAssignment":
-        return PartialAssignment(
-            self.space, {i: v for i, v in self.vals.items() if mask & (1 << i)})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PartialAssignment)
@@ -372,10 +382,6 @@ def lex_compare(model: LexModel, alpha: Outcome, beta: Outcome) -> Cmp:
 
 def geq(model: LexModel, alpha: Outcome, beta: Outcome) -> bool:
     return lex_compare(model, alpha, beta) is not Cmp.WORSE
-
-
-def strictly_better(model: LexModel, alpha: Outcome, beta: Outcome) -> bool:
-    return lex_compare(model, alpha, beta) is Cmp.BETTER
 
 
 def compose(left: LexModel, right: LexModel) -> LexModel:

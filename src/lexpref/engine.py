@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -100,7 +101,9 @@ class EncodedGamma:
 
     Builds the per-variable CSR constraint tables once; membership queries
     then pass extra outcome comparisons as small arrays instead of
-    re-encoding the whole set.
+    re-encoding the whole set.  The pair and pin tables come from the
+    blocks' ``vals``; the W tables (``wb``, ``sw``, ``nt``) come from a
+    g-by-n bit matrix of the statements' masks.
     """
 
     def __init__(self, space: VariableSpace,
@@ -117,36 +120,43 @@ class EncodedGamma:
         rs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         bo: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         wo: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        wb: list[list[int]] = [[] for _ in range(n)]
-        sw: list[list[int]] = [[] for _ in range(g)]
         nr: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        nt: list[list[int]] = [[] for _ in range(n)]
+        masks: list[int] = []    # W, or R|W for a negation
         for j, st in enumerate(self.statements):
             if st.space is not space and st.space != space:
                 raise ValueError("statement built over a different space")
             kind[j] = _KIND_CODE[st.kind]
+            rvals, svals = st.r.vals, st.s.vals
             if st.kind is StatementKind.NEGATED_NON_STRICT:
-                for x in iter_bits(st.r_mask):
-                    nr[x].append((j, st.r.vals[x], st.s.vals[x]))
-                for x in iter_bits(st.r_mask | st.w_mask):
-                    nt[x].append(j)
+                for x, a in rvals.items():
+                    nr[x].append((j, a, svals[x]))
+                masks.append(st.r_mask | st.w_mask)
             else:
-                for x in iter_bits(st.rs_mask):
-                    rs[x].append((j, st.r.vals[x], st.s.vals[x]))
-                for x in iter_bits(st.r_mask & ~st.s_mask):
-                    bo[x].append((j, st.r.vals[x]))
-                for x in iter_bits(st.s_mask & ~st.r_mask):
-                    wo[x].append((j, st.s.vals[x]))
-                for x in iter_bits(st.w_mask):
-                    wb[x].append(j)
-                    sw[j].append(x)
+                for x, a in rvals.items():
+                    b = svals.get(x)
+                    if b is None:
+                        bo[x].append((j, a))
+                    else:
+                        rs[x].append((j, a, b))
+                for x, b in svals.items():
+                    if x not in rvals:
+                        wo[x].append((j, b))
+                masks.append(st.w_mask)
 
+        nbytes = (n + 7) // 8
+        bits = np.unpackbits(
+            np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks),
+                          np.uint8).reshape(g, nbytes),
+            axis=1, count=n, bitorder="little")
+        neg = kind == _KIND_CODE[StatementKind.NEGATED_NON_STRICT]
+        by_var = np.ascontiguousarray(bits.T)
         self._args = (
             n, space.dmax,
             np.array([space.domain_size(i) for i in range(n)], np.int32),
             kind,
-            *_csr3(rs), *_csr2(bo), *_csr2(wo), *_csr1(wb), *_csr1(sw),
-            *_csr3(nr), *_csr1(nt),
+            *_csr(rs, 3), *_csr(bo, 2), *_csr(wo, 2),
+            *_csr_bits(by_var & ~neg), *_csr_bits(bits & ~neg[:, None]),
+            *_csr(nr, 3), *_csr_bits(by_var & neg),
         )
         self._default_order = np.arange(n, dtype=np.int32)
         self._no_extras = (np.zeros((0, n), np.int16),
@@ -164,37 +174,19 @@ class EncodedGamma:
         return greedy(*self._args, xleft, xright, xstrict, try_order)
 
 
-def _csr3(buckets):
-    ptr = np.zeros(len(buckets) + 1, np.int32)
-    stmt, first, second = [], [], []
-    for i, bucket in enumerate(buckets):
-        for j, a, b in bucket:
-            stmt.append(j)
-            first.append(a)
-            second.append(b)
-        ptr[i + 1] = len(stmt)
-    return (ptr, np.array(stmt, np.int32),
-            np.array(first, np.int16), np.array(second, np.int16))
+def _csr(buckets, width: int) -> tuple:
+    """CSR of ``(statement, value, ...)`` buckets: int32 statements, int16 values."""
+    ptr = np.array([0, *accumulate(map(len, buckets))], np.int32)
+    stmt, *vals = (list(zip(*[e for bucket in buckets for e in bucket]))
+                   or [()] * width)
+    return (ptr, np.array(stmt, np.int32), *(np.array(v, np.int16) for v in vals))
 
 
-def _csr2(buckets):
-    ptr = np.zeros(len(buckets) + 1, np.int32)
-    stmt, val = [], []
-    for i, bucket in enumerate(buckets):
-        for j, v in bucket:
-            stmt.append(j)
-            val.append(v)
-        ptr[i + 1] = len(stmt)
-    return ptr, np.array(stmt, np.int32), np.array(val, np.int16)
-
-
-def _csr1(buckets):
-    ptr = np.zeros(len(buckets) + 1, np.int32)
-    items = []
-    for i, bucket in enumerate(buckets):
-        items.extend(bucket)
-        ptr[i + 1] = len(items)
-    return ptr, np.array(items, np.int32)
+def _csr_bits(matrix: np.ndarray) -> tuple:
+    """Row pointers and column indices of a 0/1 matrix's nonzero cells."""
+    rows, cols = np.nonzero(matrix)    # rows come sorted
+    ptr = np.searchsorted(rows, np.arange(len(matrix) + 1))
+    return ptr.astype(np.int32), cols.astype(np.int32)
 
 
 def _model_from_arrays(space: VariableSpace, nstages, stage_vars,

@@ -132,12 +132,12 @@ def _draw_statement(rng: SplitMix64, space: VariableSpace, hidden: LexModel,
     pivot = stage_order[c]
     ranking = hidden.stages[c].ranking
 
-    held: list[int] = []
+    held = 0
     agree: dict[int, int] = {}
     for pos in range(c):
         x = stage_order[pos]
         if rng.coin():
-            held.append(x)
+            held |= 1 << x
         else:
             agree[x] = rng.randrange(space.domain_size(x))
 
@@ -187,8 +187,7 @@ def _draw_statement(rng: SplitMix64, space: VariableSpace, hidden: LexModel,
     st = canonicalize(space,
                       PartialAssignment(space, p_vals),
                       PartialAssignment(space, q_vals),
-                      space.mask_of(space.variables[x] for x in held),
-                      inner_kind, label=label)
+                      held, inner_kind, label=label)
     if kind is StatementKind.NEGATED_NON_STRICT:
         st = negate_non_strict(st, label=label)
     return st

@@ -165,6 +165,9 @@ def parse_instance(text: str) -> Instance:
             if not values or any(not _NAME_RE.match(v) for v in values):
                 raise ParseError(f"bad value list for variable {name!r}",
                                  lineno)
+            if len(set(values)) != len(values):
+                raise ParseError(f"domain of {name!r} has duplicate values",
+                                 lineno)
             var_names.append(name)
             var_domains[name] = values
             continue
@@ -172,10 +175,7 @@ def parse_instance(text: str) -> Instance:
         if space is None:
             if not var_names:
                 raise ParseError("no variables declared yet", lineno)
-            try:
-                space = VariableSpace(var_names, var_domains)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
+            space = VariableSpace(var_names, var_domains)
 
         if keyword == "outcome":
             if len(head_parts) != 2 or not _NAME_RE.match(head_parts[1]):
@@ -223,10 +223,7 @@ def parse_instance(text: str) -> Instance:
     if space is None:
         if not var_names:
             raise ParseError("instance declares no variables", None)
-        try:
-            space = VariableSpace(var_names, var_domains)
-        except ValueError as exc:
-            raise ParseError(str(exc), None) from None
+        space = VariableSpace(var_names, var_domains)
     return Instance(space=space, outcomes=outcomes,
                     statements=tuple(statements), alt_names=tuple(alt_names))
 
@@ -250,20 +247,16 @@ def parse_query(instance: Instance, text: str):
     return ("cmp", ">" if op == ">>" else op, left, right)
 
 
-def _format_side(assignment: PartialAssignment) -> str:
-    parts = ", ".join(f"{var}={val}"
-                      for var, val in assignment.as_dict().items())
+def _format_side(space: VariableSpace, vals: dict[int, int]) -> str:
+    parts = ", ".join(f"{space.variables[i]}={space.domains[i][v]}"
+                      for i, v in sorted(vals.items()))
     return f"[{parts}]"
 
 
 def format_statement(st: PrefStatement) -> str:
     space = st.space
-    merged_left = dict(st.u.vals)
-    merged_left.update(st.r.vals)
-    merged_right = dict(st.u.vals)
-    merged_right.update(st.s.vals)
-    left = _format_side(PartialAssignment(space, merged_left))
-    right = _format_side(PartialAssignment(space, merged_right))
+    left = _format_side(space, {**st.u.vals, **st.r.vals})
+    right = _format_side(space, {**st.u.vals, **st.s.vals})
     held = ", ".join(sorted(st.t_vars, key=space.var_index))
     if st.kind is StatementKind.NEGATED_NON_STRICT:
         return f"not ({left} >= {right} || {{{held}}})"

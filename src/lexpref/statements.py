@@ -128,26 +128,35 @@ def canonicalize(space: VariableSpace, p: PartialAssignment,
 
     Variables assigned the same value on both sides move to the agreement
     block; one-value variables are silently moved into the held set.  The
-    held set must not overlap either side.
+    held set must not overlap either side.  The blocks are split off in one
+    pass and built unchecked from the indices ``p`` and ``q`` already hold.
     """
+    if any(side.space is not space and side.space != space for side in (p, q)):
+        raise ValueError("sides built over a different space")
     t_mask = t_vars if isinstance(t_vars, int) else space.mask_of(t_vars)
     if t_mask & (p.mask | q.mask):
         overlap = space.names_of(t_mask & (p.mask | q.mask))
         raise ValueError(f"held-constant set overlaps the sides: {sorted(overlap)}")
-    agree = 0
-    for i in iter_bits(p.mask & q.mask):
-        if p.vals[i] == q.vals[i]:
-            agree |= 1 << i
     sing = space.singleton_mask
-    u_mask = agree & ~sing
-    r_mask = p.mask & ~agree & ~sing
-    s_mask = q.mask & ~agree & ~sing
-    t_mask = (t_mask | sing) & space.full_mask
+    qvals = q.vals
+    u: dict[int, int] = {}
+    r: dict[int, int] = {}
+    u_mask = 0
+    for i, v in p.vals.items():
+        if sing >> i & 1:
+            continue
+        if qvals.get(i) == v:
+            u[i] = v
+            u_mask |= 1 << i
+        else:
+            r[i] = v
+    keep = ~(sing | u_mask)
+    s = {i: v for i, v in qvals.items() if keep >> i & 1}
     return PrefStatement(space, kind,
-                         u=p.restrict(u_mask),
-                         r=p.restrict(r_mask),
-                         s=q.restrict(s_mask),
-                         t_mask=t_mask, label=label)
+                         u=PartialAssignment._trusted(space, u, u_mask),
+                         r=PartialAssignment._trusted(space, r, p.mask & keep),
+                         s=PartialAssignment._trusted(space, s, q.mask & keep),
+                         t_mask=(t_mask | sing) & space.full_mask, label=label)
 
 
 def outcome_comparison(space: VariableSpace, left: Outcome, right: Outcome,

@@ -3,15 +3,20 @@
 The random statement generator here is intentionally different from the
 package's planted-model generator: it draws arbitrary block structures with
 no consistency guarantee, so sweeps exercise inconsistent sets too.
+``reference_encoding`` is the independent reference for the kernel tables
+``EncodedGamma`` builds.
 """
 
 from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from lexpref import (LexModel, Outcome, PartialAssignment, StatementKind,
                      TotalValueOrder, VariableSpace, canonicalize,
                      negate_non_strict)
+from lexpref.core import iter_bits
 from lexpref.rng import SplitMix64
 
 FLIGHT_SPACE = VariableSpace(
@@ -109,3 +114,61 @@ def all_two_three_spaces() -> list[VariableSpace]:
                        for i, name in enumerate(names)}
             spaces.append(VariableSpace(names, domains))
     return spaces
+
+
+def reference_encoding(space: VariableSpace, statements) -> tuple:
+    """What ``EncodedGamma._args`` must hold for ``statements``.
+
+    Built the direct way: one ``iter_bits`` walk per block mask per
+    statement fills per-variable buckets, which are then packed into CSR
+    pointer and entry arrays of the kernel's dtypes.
+    """
+    n = space.n
+    g = len(statements)
+    codes = {StatementKind.NON_STRICT: 0, StatementKind.FULLY_STRICT: 1,
+             StatementKind.WEAKLY_STRICT: 2,
+             StatementKind.NEGATED_NON_STRICT: 3}
+    kind = np.zeros(g, np.int8)
+    rs = [[] for _ in range(n)]
+    bo = [[] for _ in range(n)]
+    wo = [[] for _ in range(n)]
+    wb = [[] for _ in range(n)]
+    sw = [[] for _ in range(g)]
+    nr = [[] for _ in range(n)]
+    nt = [[] for _ in range(n)]
+    for j, st in enumerate(statements):
+        kind[j] = codes[st.kind]
+        if st.kind is StatementKind.NEGATED_NON_STRICT:
+            for x in iter_bits(st.r_mask):
+                nr[x].append((j, st.r.vals[x], st.s.vals[x]))
+            for x in iter_bits(st.r_mask | st.w_mask):
+                nt[x].append((j,))
+        else:
+            for x in iter_bits(st.rs_mask):
+                rs[x].append((j, st.r.vals[x], st.s.vals[x]))
+            for x in iter_bits(st.r_mask & ~st.s_mask):
+                bo[x].append((j, st.r.vals[x]))
+            for x in iter_bits(st.s_mask & ~st.r_mask):
+                wo[x].append((j, st.s.vals[x]))
+            for x in iter_bits(st.w_mask):
+                wb[x].append((j,))
+                sw[j].append((x,))
+    return (n, space.dmax,
+            np.array([space.domain_size(i) for i in range(n)], np.int32),
+            kind,
+            *_csr(rs, np.int32, np.int16, np.int16),
+            *_csr(bo, np.int32, np.int16), *_csr(wo, np.int32, np.int16),
+            *_csr(wb, np.int32), *_csr(sw, np.int32),
+            *_csr(nr, np.int32, np.int16, np.int16), *_csr(nt, np.int32))
+
+
+def _csr(buckets, *dtypes) -> tuple:
+    """Pointer array plus one entry array per tuple field of the buckets."""
+    ptr = np.zeros(len(buckets) + 1, np.int32)
+    columns = [[] for _ in dtypes]
+    for i, bucket in enumerate(buckets):
+        for entry in bucket:
+            for column, value in zip(columns, entry):
+                column.append(value)
+        ptr[i + 1] = len(columns[0])
+    return (ptr, *(np.array(c, dt) for c, dt in zip(columns, dtypes)))

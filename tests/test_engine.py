@@ -7,14 +7,14 @@ import pytest
 
 from helpers import (FLIGHT_A, FLIGHT_B, FLIGHT_D, FLIGHT_G,
                      FLIGHT_SPACE, random_gamma, random_outcome,
-                     small_space)
-from lexpref import (FailureReason, InconsistentError, LexModel,
+                     reference_encoding, small_space)
+from lexpref import (FailureReason, GenConfig, InconsistentError, LexModel,
                      StatementKind, TotalValueOrder, UnsupportedQueryError,
                      VariableSpace, brute_consistent, brute_entails,
                      brute_maximal_models, build_maximal_star_model,
                      canonicalize, compose, consistent, entails,
                      entails_general, entails_max, enumerate_models,
-                     extension_constraint, negate_non_strict,
+                     extension_constraint, gen_instance, negate_non_strict,
                      outcome_comparison, satisfies, satisfies_star,
                      statement_consistent, v_gamma, valid_extension)
 from lexpref import kernel
@@ -168,6 +168,39 @@ class TestBuildMaximalStarModel:
         bad = outcome_comparison(SP, FLIGHT_A, FLIGHT_A, strict=True)
         with pytest.raises(ValueError):
             build_maximal_star_model(SP, [bad])
+
+
+class TestEncodedGamma:
+    @staticmethod
+    def assert_tables_match_reference(space, gamma):
+        got = EncodedGamma(space, gamma)._args
+        want = reference_encoding(space, gamma)
+        assert len(got) == len(want)
+        for k, (a, b) in enumerate(zip(got, want)):
+            if isinstance(b, np.ndarray):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), k
+                assert np.array_equal(a, b), k
+            else:
+                assert a == b, k
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 200])
+    def test_tables_match_bit_walk(self, n):
+        for mix, domain_min in (((1, 1, 1, 1), 2), ((0, 0, 0, 1), 2),
+                                ((1, 1, 1, 1), 1)):
+            if domain_min == 1 and n == 1:
+                continue    # a lone variable may get a one-value domain
+            gen = gen_instance(GenConfig(n=n, g=2 * n + 3, m=1, seed=n,
+                                         domain_min=domain_min,
+                                         kind_mix=mix))
+            self.assert_tables_match_reference(gen.space, gen.gamma)
+            self.assert_tables_match_reference(gen.space, [])
+
+    def test_tables_match_bit_walk_on_arbitrary_blocks(self):
+        rng = SplitMix64(41)
+        for _ in range(200):
+            space = small_space(rng, max_vars=10, max_domain=4)
+            self.assert_tables_match_reference(
+                space, random_gamma(rng, space, max_statements=12))
 
 
 class TestConsistent:

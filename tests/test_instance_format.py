@@ -2,8 +2,9 @@
 
 import pytest
 
-from lexpref import (GenConfig, Instance, ParseError, StatementKind,
-                     consistent, entails, format_instance, gen_instance,
+from lexpref import (GenConfig, Instance, ParseError, PartialAssignment,
+                     StatementKind, canonicalize, consistent, entails,
+                     format_instance, gen_instance, negate_non_strict,
                      parse_instance, parse_query)
 
 FLIGHT_FILE = """\
@@ -82,6 +83,35 @@ stmt s5: [] >= [x=a]
                         got.t_mask) == (want.kind, want.label, want.u,
                                         want.r, want.s, want.t_mask)
 
+    @pytest.mark.parametrize("n,g", [(12, 60), (50, 200), (200, 250)])
+    @pytest.mark.parametrize("domain_max", [3, 5])
+    def test_parse_builds_what_checked_constructors_build(self, n, g,
+                                                          domain_max):
+        gen = gen_instance(GenConfig(n=n, g=g, m=3, seed=n + domain_max,
+                                     domain_max=domain_max))
+        assert {st.kind for st in gen.gamma} == set(StatementKind)
+        space = gen.space
+        inst = Instance(space=space, outcomes={}, statements=gen.gamma,
+                        alt_names=())
+        parsed = parse_instance(format_instance(inst)).statements
+        assert len(parsed) == len(gen.gamma)
+        for got, st in zip(parsed, gen.gamma):
+            negated = st.kind is StatementKind.NEGATED_NON_STRICT
+            want = canonicalize(
+                space, PartialAssignment(space, {**st.u.vals, **st.r.vals}),
+                PartialAssignment(space, {**st.u.vals, **st.s.vals}),
+                st.t_mask,
+                StatementKind.NON_STRICT if negated else st.kind,
+                label=st.label)
+            if negated:
+                want = negate_non_strict(want, label=st.label)
+            assert (got.kind, got.label, got.t_mask) == \
+                (want.kind, want.label, want.t_mask)
+            for side in "urs":
+                a, b = getattr(got, side), getattr(want, side)
+                assert (a.vals, a.mask) == (b.vals, b.mask)
+                assert a.mask == sum(1 << i for i in a.vals)
+
     def test_outcome_names_can_start_with_keyword_letters(self):
         text = ("var x: a, b\noutcome north: x=a\noutcome s: x=b\n"
                 "stmt q: north > s\n")
@@ -114,6 +144,9 @@ class TestParseErrors:
         ("stmt s: [x=a] >= []\n", "no variables"),
         ("var x: a, b\nvar x: c, d\n", "declared twice"),
         ("var x: a, a\n", "duplicate"),
+        ("var x: a, a\n", "line 1: domain of 'x' has duplicate values"),
+        ("var x: a, a\nvar y: c, d\n\nstmt s: [y=c] >= [y=d]\n",
+         "line 1: domain of 'x' has duplicate values"),
         ("var x: a, b\noutcome o: x=c\n", "unknown value"),
         ("var x: a, b\noutcome o: y=a\n", "outcome o"),
         ("var x: a, b\nstmt s: [x=a] >= [y=b]\n", "unknown variable"),
@@ -136,6 +169,11 @@ class TestParseErrors:
         ("var x: a, b\nvar y: c, d\nstmt s: [x=a] >= [x=b] || {y\n",
          "line 3: statement s"),
         ("var x: a, b\nstmt s: [x] >= [x=b]\n", "line 2: statement s"),
+        # the VAR=val list is read whole before any name is looked up
+        ("var x: a, b\nstmt s: [zz=a, q] >= [x=b]\n",
+         "line 2: statement s: expected VAR=val, got 'q'"),
+        ("var x: a, b\nstmt s: [zz=a, zz=b] >= [x=b]\n",
+         "line 2: statement s: variable 'zz' assigned twice"),
         # columns count from the start of the line, indentation included
         ("var x: a, b\nstmt s: [x=a] >= [x=b] trailing\n",
          "line 2: statement s: trailing input at column 24"),
