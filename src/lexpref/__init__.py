@@ -14,11 +14,10 @@ __version__ = "0.1.0"
 from .core import (Cmp, LexModel, Outcome, PartialAssignment, TotalValueOrder,
                    VariableSpace, compose, extends, extends_or_equals,
                    lex_compare, project)
-from .engine import (ConsistencyResult, EncodedGamma, ExtensionConstraint,
-                     FailureReason, StatementFailure, build_maximal_star_model,
-                     consistent, entails, entails_general, entails_max,
-                     extension_constraint, negation_of, v_gamma,
-                     valid_extension)
+from .engine import (ConsistencyResult, EncodedGamma, FailureReason,
+                     StatementFailure, build_maximal_star_model, consistent,
+                     entails, entails_general, entails_max, negation_of,
+                     v_gamma, valid_extension)
 from .errors import (CapExceededError, InconsistentError, LexPrefError,
                      ParseError, UnsupportedQueryError)
 from .generator import GenConfig, GeneratedInstance, gen_instance

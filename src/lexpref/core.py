@@ -171,7 +171,8 @@ class Outcome:
 
     __slots__ = ("space", "values")
 
-    def __init__(self, space: VariableSpace, values: tuple[int, ...]):
+    def __init__(self, space: VariableSpace, values: Sequence[int]):
+        values = tuple(values)
         if len(values) != space.n:
             raise ValueError("outcome must assign every variable")
         for i, v in enumerate(values):
@@ -265,7 +266,8 @@ class TotalValueOrder:
 
     __slots__ = ("space", "var", "ranking", "rank_of")
 
-    def __init__(self, space: VariableSpace, var: int, ranking: tuple[int, ...]):
+    def __init__(self, space: VariableSpace, var: int, ranking: Sequence[int]):
+        ranking = tuple(ranking)
         d = space.domain_size(var)
         if sorted(ranking) != list(range(d)):
             raise ValueError(
@@ -304,7 +306,9 @@ class LexModel:
 
     __slots__ = ("space", "stages", "vmask")
 
-    def __init__(self, space: VariableSpace, stages: tuple[TotalValueOrder, ...] = ()):
+    def __init__(self, space: VariableSpace,
+                 stages: Sequence[TotalValueOrder] = ()):
+        stages = tuple(stages)
         vmask = 0
         for st in stages:
             if st.space is not space and st.space != space:
@@ -378,10 +382,6 @@ def lex_compare(model: LexModel, alpha: Outcome, beta: Outcome) -> Cmp:
         if av != bv:
             return Cmp.BETTER if st.rank_of[av] < st.rank_of[bv] else Cmp.WORSE
     return Cmp.EQUIVALENT
-
-
-def geq(model: LexModel, alpha: Outcome, beta: Outcome) -> bool:
-    return lex_compare(model, alpha, beta) is not Cmp.WORSE
 
 
 def compose(left: LexModel, right: LexModel) -> LexModel:

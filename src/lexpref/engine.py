@@ -11,33 +11,25 @@ on the variables that made it into the model.
 Inference queries reduce to consistency: a comparison is entailed when the
 statement set together with the opposite comparison has no model.
 
-Hot paths run through the array kernel in :mod:`lexpref.kernel`; the
-object-level operations (:func:`extension_constraint`,
-:func:`valid_extension`) restate the same rules independently and serve as
-the reference the tests check the kernel's witnesses and failures against.
+Hot paths run through the array kernel in :mod:`lexpref.kernel`, which
+also owns the encoding (:class:`EncodedGamma`).  :func:`valid_extension`
+restates the extension rule over objects and is the one reference the
+tests check the kernel's witnesses and failures against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .core import LexModel, Outcome, TotalValueOrder, VariableSpace, iter_bits
 from .errors import InconsistentError, UnsupportedQueryError
-from .kernel import greedy
+from .kernel import EncodedGamma
 from .statements import (PrefStatement, StatementKind, inner_statement,
-                         negate_non_strict, satisfies, statement_consistent)
-
-_KIND_CODE = {
-    StatementKind.NON_STRICT: 0,
-    StatementKind.FULLY_STRICT: 1,
-    StatementKind.WEAKLY_STRICT: 2,
-    StatementKind.NEGATED_NON_STRICT: 3,
-}
+                         negate_non_strict, satisfies)
 
 
 class FailureReason(Enum):
@@ -82,113 +74,6 @@ class ConsistencyResult:
             raise ValueError("verdict must match the failure list")
 
 
-@dataclass(frozen=True)
-class ExtensionConstraint:
-    """What a next stage on one variable must respect.
-
-    ``best``/``worst`` are values pinned to the top/bottom of the new value
-    order; ``pairs`` are required orderings (first value above second).
-    """
-
-    variable: str
-    best: frozenset[str]
-    worst: frozenset[str]
-    pairs: frozenset[tuple[str, str]]
-
-
-class EncodedGamma:
-    """Flat array encoding of a statement set, reusable across kernel runs.
-
-    Builds the per-variable CSR constraint tables once; membership queries
-    then pass extra outcome comparisons as small arrays instead of
-    re-encoding the whole set.  The pair and pin tables come from the
-    blocks' ``vals``; the W tables (``wb``, ``sw``, ``nt``) come from a
-    g-by-n bit matrix of the statements' masks.
-    """
-
-    def __init__(self, space: VariableSpace,
-                 statements: Sequence[PrefStatement]):
-        self.space = space
-        self.statements = tuple(statements)
-        n = space.n
-        g = len(self.statements)
-        self.inconsistent_indices = tuple(
-            j for j, st in enumerate(self.statements)
-            if not statement_consistent(st))
-
-        kind = np.zeros(g, np.int8)
-        rs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        bo: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        wo: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        nr: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        masks: list[int] = []    # W, or R|W for a negation
-        for j, st in enumerate(self.statements):
-            if st.space is not space and st.space != space:
-                raise ValueError("statement built over a different space")
-            kind[j] = _KIND_CODE[st.kind]
-            rvals, svals = st.r.vals, st.s.vals
-            if st.kind is StatementKind.NEGATED_NON_STRICT:
-                for x, a in rvals.items():
-                    nr[x].append((j, a, svals[x]))
-                masks.append(st.r_mask | st.w_mask)
-            else:
-                for x, a in rvals.items():
-                    b = svals.get(x)
-                    if b is None:
-                        bo[x].append((j, a))
-                    else:
-                        rs[x].append((j, a, b))
-                for x, b in svals.items():
-                    if x not in rvals:
-                        wo[x].append((j, b))
-                masks.append(st.w_mask)
-
-        nbytes = (n + 7) // 8
-        bits = np.unpackbits(
-            np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks),
-                          np.uint8).reshape(g, nbytes),
-            axis=1, count=n, bitorder="little")
-        neg = kind == _KIND_CODE[StatementKind.NEGATED_NON_STRICT]
-        by_var = np.ascontiguousarray(bits.T)
-        self._args = (
-            n, space.dmax,
-            np.array([space.domain_size(i) for i in range(n)], np.int32),
-            kind,
-            *_csr(rs, 3), *_csr(bo, 2), *_csr(wo, 2),
-            *_csr_bits(by_var & ~neg), *_csr_bits(bits & ~neg[:, None]),
-            *_csr(nr, 3), *_csr_bits(by_var & neg),
-        )
-        self._default_order = np.arange(n, dtype=np.int32)
-        self._no_extras = (np.zeros((0, n), np.int16),
-                           np.zeros((0, n), np.int16),
-                           np.zeros(0, np.bool_))
-
-    def run(self, xleft: np.ndarray | None = None,
-            xright: np.ndarray | None = None,
-            xstrict: np.ndarray | None = None,
-            try_order: np.ndarray | None = None):
-        if xleft is None:
-            xleft, xright, xstrict = self._no_extras
-        if try_order is None:
-            try_order = self._default_order
-        return greedy(*self._args, xleft, xright, xstrict, try_order)
-
-
-def _csr(buckets, width: int) -> tuple:
-    """CSR of ``(statement, value, ...)`` buckets: int32 statements, int16 values."""
-    ptr = np.array([0, *accumulate(map(len, buckets))], np.int32)
-    stmt, *vals = (list(zip(*[e for bucket in buckets for e in bucket]))
-                   or [()] * width)
-    return (ptr, np.array(stmt, np.int32), *(np.array(v, np.int16) for v in vals))
-
-
-def _csr_bits(matrix: np.ndarray) -> tuple:
-    """Row pointers and column indices of a 0/1 matrix's nonzero cells."""
-    rows, cols = np.nonzero(matrix)    # rows come sorted
-    ptr = np.searchsorted(rows, np.arange(len(matrix) + 1))
-    return ptr.astype(np.int32), cols.astype(np.int32)
-
-
 def _model_from_arrays(space: VariableSpace, nstages, stage_vars,
                        orders) -> LexModel:
     stages = []
@@ -200,34 +85,19 @@ def _model_from_arrays(space: VariableSpace, nstages, stage_vars,
     return LexModel(space, tuple(stages))
 
 
-def _order_array(space: VariableSpace,
-                 variable_priority: Sequence[str] | None) -> np.ndarray | None:
-    if variable_priority is None:
-        return None
-    idx = [space.var_index(v) for v in variable_priority]
-    if sorted(idx) != list(range(space.n)):
-        raise ValueError("variable priority must be a permutation of the variables")
-    return np.array(idx, np.int32)
-
-
 def consistent(space: VariableSpace, gamma: Sequence[PrefStatement],
-               verify: bool = True,
-               variable_priority: Sequence[str] | None = None,
-               ) -> ConsistencyResult:
+               verify: bool = True) -> ConsistencyResult:
     """Decide consistency of a statement set.
 
     With ``verify`` on (the default for one-shot calls), the witness model
     is re-checked against every statement through the independent
     stage-walk test; a mismatch would be an engine bug and raises.
     """
-    enc = EncodedGamma(space, gamma)
-    return consistent_from_encoding(enc, verify=verify,
-                                    try_order=_order_array(space, variable_priority))
+    return consistent_from_encoding(EncodedGamma(space, gamma), verify=verify)
 
 
-def consistent_from_encoding(enc: EncodedGamma, verify: bool = False,
-                             try_order: np.ndarray | None = None,
-                             ) -> ConsistencyResult:
+def consistent_from_encoding(enc: EncodedGamma,
+                             verify: bool = False) -> ConsistencyResult:
     space = enc.space
     g = len(enc.statements)
     if enc.inconsistent_indices:
@@ -236,7 +106,7 @@ def consistent_from_encoding(enc: EncodedGamma, verify: bool = False,
                              FailureReason.STATEMENT_UNSATISFIABLE)
             for j in enc.inconsistent_indices)
         return ConsistencyResult(False, LexModel(space), failures, None, g)
-    ok, nstages, stage_vars, orders, fail, _, tests = enc.run(try_order=try_order)
+    ok, nstages, stage_vars, orders, fail, _, tests = enc.run()
     witness = _model_from_arrays(space, nstages, stage_vars, orders)
     failures = tuple(
         StatementFailure(j, enc.statements[j], _REASON_BY_CODE[int(fail[j])])
@@ -259,13 +129,11 @@ def consistent_from_encoding(enc: EncodedGamma, verify: bool = False,
 
 
 def build_maximal_star_model(space: VariableSpace,
-                             gamma: Sequence[PrefStatement],
-                             variable_priority: Sequence[str] | None = None,
-                             ) -> LexModel:
+                             gamma: Sequence[PrefStatement]) -> LexModel:
     """Grow a maximal star-model of an individually consistent statement set.
 
-    Deterministic: at each step the first variable (in priority order,
-    default declaration order) admitting a valid extension is appended.
+    Deterministic: at each step the first variable in declaration order
+    admitting a valid extension is appended.
     """
     enc = EncodedGamma(space, gamma)
     if enc.inconsistent_indices:
@@ -273,40 +141,7 @@ def build_maximal_star_model(space: VariableSpace,
         raise ValueError(
             f"statement {bad.label or enc.inconsistent_indices[0]} is "
             f"individually unsatisfiable")
-    _, nstages, stage_vars, orders, _, _, _ = enc.run(
-        try_order=_order_array(space, variable_priority))
-    return _model_from_arrays(space, nstages, stage_vars, orders)
-
-
-def extension_constraint(space: VariableSpace, gamma: Sequence[PrefStatement],
-                         model: LexModel, variable: str) -> ExtensionConstraint:
-    """Collect the best/worst/pair requirements for appending ``variable``."""
-    x = space.var_index(variable)
-    bit = 1 << x
-    if model.vmask & bit:
-        raise ValueError(f"{variable!r} is already in the model")
-    vmask = model.vmask
-    dom = space.domains[x]
-    best: set[str] = set()
-    worst: set[str] = set()
-    pair_set: set[tuple[str, str]] = set()
-    for st in gamma:
-        if st.kind is StatementKind.NEGATED_NON_STRICT:
-            if vmask & ~(st.t_mask | st.u_mask):
-                continue
-            if st.r_mask & bit:
-                pair_set.add((dom[st.s.vals[x]], dom[st.r.vals[x]]))
-        else:
-            if st.rs_mask & vmask:
-                continue
-            if st.rs_mask & bit:
-                pair_set.add((dom[st.r.vals[x]], dom[st.s.vals[x]]))
-            elif st.r_mask & bit:
-                best.add(dom[st.r.vals[x]])
-            elif st.s_mask & bit:
-                worst.add(dom[st.s.vals[x]])
-    return ExtensionConstraint(variable=variable, best=frozenset(best),
-                               worst=frozenset(worst), pairs=frozenset(pair_set))
+    return consistent_from_encoding(enc).witness
 
 
 def _complete_order(d: int, pair_list: list[tuple[int, int]],

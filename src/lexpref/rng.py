@@ -68,9 +68,6 @@ class SplitMix64:
         self.shuffle(perm)
         return perm
 
-    def choice(self, items):
-        return items[self.randrange(len(items))]
-
     def geometric(self) -> int:
         """Number of successive heads before the first tail (mean 1)."""
         count = 0
@@ -80,7 +77,11 @@ class SplitMix64:
 
 
 def derive_seed(seed: int, *parts: int) -> int:
-    """Order-insensitive-free combiner: fold parts into a fresh 64-bit seed.
+    """Fold parts into a fresh 64-bit seed.
+
+    The fold is order-sensitive: swapping two parts gives a different
+    seed in general, so ``(n, g, rep)`` and ``(g, n, rep)`` name different
+    substreams.
 
     Used to give every benchmark cell (n, g, rep) its own reproducible
     substream independent of iteration order.

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from helpers import (FLIGHT_A, FLIGHT_B, FLIGHT_G, FLIGHT_SPACE,
                      random_model, random_outcome, small_space)
-from lexpref import (Cmp, LexModel, VariableSpace, compose, extends,
-                     extends_or_equals, lex_compare, project)
+from lexpref import (AlternativeSet, Cmp, LexModel, Outcome, TotalValueOrder,
+                     VariableSpace, compose, extends, extends_or_equals,
+                     lex_compare, project)
 from lexpref.rng import SplitMix64
 
 PI = FLIGHT_SPACE.model([("airline", ["KLM", "LAN"]),
@@ -176,6 +177,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             FLIGHT_SPACE.model([("time", ["day", "night"]),
                                 ("time", ["night", "day"])])
+
+    def test_list_arguments_build_the_tuple_built_values(self):
+        space = VariableSpace(["x", "y"], {"x": ["a", "b"], "y": ["c", "d"]})
+        order = TotalValueOrder(space, 0, (1, 0))
+        pairs = [(Outcome(space, [0, 1]), Outcome(space, (0, 1))),
+                 (TotalValueOrder(space, 0, [1, 0]), order),
+                 (LexModel(space, [order]), LexModel(space, (order,)))]
+        for from_list, from_tuple in pairs:
+            assert from_list == from_tuple
+            assert hash(from_list) == hash(from_tuple)
+        alts = AlternativeSet(space, [Outcome(space, [0, 1]),
+                                      Outcome(space, [1, 0])])
+        assert alts.index_of(Outcome(space, (1, 0))) == 1
 
     def test_outcome_must_be_total(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from lexpref import (FailureReason, GenConfig, InconsistentError, LexModel,
                      brute_maximal_models, build_maximal_star_model,
                      canonicalize, compose, consistent, entails,
                      entails_general, entails_max, enumerate_models,
-                     extension_constraint, gen_instance, negate_non_strict,
+                     gen_instance, negate_non_strict,
                      outcome_comparison, satisfies, satisfies_star,
                      statement_consistent, v_gamma, valid_extension)
 from lexpref import kernel
@@ -45,40 +45,13 @@ def reference_greedy(space, gamma):
             return model
 
 
-class TestExtensionConstraint:
-    def test_empty_model_airline(self):
-        ec = extension_constraint(SP, flight_gamma(), LexModel(SP), "airline")
-        assert ec.best == frozenset()
-        assert ec.worst == frozenset()
-        assert ec.pairs == frozenset({("KLM", "LAN")})
-
-    def test_after_airline_time(self):
-        # with airline placed, the outcome comparison statement keeps its
-        # shared-difference blocks live and pins day above night; the other
-        # statement's blocks include airline, so it contributes nothing
-        pi = SP.model([("airline", ["KLM", "LAN"])])
-        ec = extension_constraint(SP, flight_gamma(), pi, "time")
-        assert ec.best == frozenset()
-        assert ec.worst == frozenset()
-        assert ec.pairs == frozenset({("day", "night")})
-
-    def test_empty_statement_set(self):
-        ec = extension_constraint(SP, [], LexModel(SP), "class")
-        assert ec.best == ec.worst == frozenset()
-        assert ec.pairs == frozenset()
-
-    def test_variable_already_in_model_rejected(self):
-        pi = SP.model([("airline", ["KLM", "LAN"])])
-        with pytest.raises(ValueError):
-            extension_constraint(SP, flight_gamma(), pi, "airline")
-
-    def test_negated_statement_contributes_reversed_pair(self):
-        inner = canonicalize(SP, SP.partial({"airline": "KLM"}),
-                             SP.partial({"airline": "LAN"}),
-                             ["time", "class"], StatementKind.NON_STRICT)
-        gamma = [negate_non_strict(inner)]
-        ec = extension_constraint(SP, gamma, LexModel(SP), "airline")
-        assert ec.pairs == frozenset({("LAN", "KLM")})
+def redeclared(space, st):
+    """``st`` rebuilt by names over ``space``, which declares the same
+    variables and domains as ``st.space``, possibly in another order."""
+    u = st.u.as_dict()
+    return canonicalize(space, space.partial({**u, **st.r.as_dict()}),
+                        space.partial({**u, **st.s.as_dict()}),
+                        st.space.names_of(st.t_mask), st.kind, label=st.label)
 
 
 class TestValidExtension:
@@ -107,6 +80,45 @@ class TestValidExtension:
     def test_empty_statement_set_gives_canonical_order(self):
         order = valid_extension(SP, [], LexModel(SP), "class")
         assert order.ranking_names() == ("economy", "business")
+
+    def test_empty_model_airline(self):
+        # the strict comparison pins KLM above LAN; the reverse order fails it
+        gamma = flight_gamma()
+        order = valid_extension(SP, gamma, LexModel(SP), "airline")
+        assert order.ranking_names() == ("KLM", "LAN")
+        reversed_pi = SP.model([("airline", ["LAN", "KLM"])])
+        assert not all(satisfies_star(reversed_pi, st) for st in gamma)
+
+    def test_after_airline_time(self):
+        # with airline placed, the outcome comparison statement keeps its
+        # shared-difference blocks live and pins day above night; the other
+        # statement's blocks include airline, so it constrains nothing
+        gamma = flight_gamma()
+        pi = SP.model([("airline", ["KLM", "LAN"])])
+        order = valid_extension(SP, gamma, pi, "time")
+        assert order.ranking_names() == ("day", "night")
+        reversed_pi = SP.model([("airline", ["KLM", "LAN"]),
+                                ("time", ["night", "day"])])
+        assert not all(satisfies_star(reversed_pi, st) for st in gamma)
+
+    def test_empty_statement_set(self):
+        # no statement constrains any variable: each gets its declared order
+        for name in SP.variables:
+            order = valid_extension(SP, [], LexModel(SP), name)
+            assert order.ranking == tuple(range(SP.domain_size(SP.var_index(name))))
+
+    def test_variable_already_in_model_rejected(self):
+        pi = SP.model([("airline", ["KLM", "LAN"])])
+        with pytest.raises(ValueError):
+            valid_extension(SP, flight_gamma(), pi, "airline")
+
+    def test_negated_statement_contributes_reversed_pair(self):
+        inner = canonicalize(SP, SP.partial({"airline": "KLM"}),
+                             SP.partial({"airline": "LAN"}),
+                             ["time", "class"], StatementKind.NON_STRICT)
+        order = valid_extension(SP, [negate_non_strict(inner)], LexModel(SP),
+                                "airline")
+        assert order.ranking_names() == ("LAN", "KLM")
 
     def test_round_trip_against_star_satisfaction(self):
         # returned orders must star-preserve; refusals must be genuine
@@ -276,10 +288,9 @@ class TestConsistent:
             enc = EncodedGamma(space, random_gamma(rng, space))
             row = (random_outcome(rng, space), random_outcome(rng, space),
                    rng.randrange(2) == 1)
-            order = enc._default_order
             for extras in (enc._no_extras, _comparison_arrays(space, [row])):
-                compiled = kernel.greedy(*enc._args, *extras, order)
-                source = kernel._greedy_impl(*enc._args, *extras, order)
+                compiled = kernel.greedy(*enc._args, *extras)
+                source = kernel._greedy_impl(*enc._args, *extras)
                 assert len(compiled) == len(source)
                 for got, want in zip(compiled, source):
                     np.testing.assert_array_equal(got, want)
@@ -301,8 +312,9 @@ class TestConsistent:
             done += 1
 
     def test_tie_break_order_does_not_change_satisfied_subset(self):
-        # maximal star-models built under different variable priorities
-        # satisfy exactly the same statements
+        # the greedy tries variables in declaration order; declaring them in
+        # another order builds another maximal star-model, which satisfies
+        # the same statements and mentions the same variables (V_Gamma)
         rng = SplitMix64(211)
         done = 0
         while done < 80:
@@ -312,15 +324,15 @@ class TestConsistent:
             if not gamma:
                 continue
             base = consistent(space, gamma)
-            priority = [space.variables[i]
-                        for i in rng.permutation(space.n)]
-            shuffled = consistent(space, gamma, variable_priority=priority)
+            names = [space.variables[i] for i in rng.permutation(space.n)]
+            permuted = VariableSpace(
+                names, {v: space.domains[space.var_index(v)] for v in names})
+            shuffled = consistent(permuted, [redeclared(permuted, st)
+                                             for st in gamma])
             assert base.consistent == shuffled.consistent
             assert ([f.index for f in base.failures]
                     == [f.index for f in shuffled.failures])
-            for st in gamma:
-                assert satisfies(base.witness, st) == satisfies(
-                    shuffled.witness, st)
+            assert base.v_gamma == shuffled.v_gamma
             done += 1
 
 

@@ -2,6 +2,7 @@
 
 from helpers import random_gamma
 from lexpref import VariableSpace, brute_consistent, consistent, satisfies
+from lexpref import kernel
 from lexpref.kernel import HAS_NUMBA, backend_name
 from lexpref.rng import SplitMix64
 
@@ -9,6 +10,21 @@ from lexpref.rng import SplitMix64
 class TestBackendSelection:
     def test_auto_prefers_numba_when_available(self):
         assert backend_name() == ("numba" if HAS_NUMBA else "numpy")
+
+    def test_warm_up_runs_the_kernel_once(self, monkeypatch):
+        # the body only runs under numba; run it over the Python kernel
+        results = []
+
+        def spy(*args):
+            results.append(kernel._greedy_impl(*args))
+            return results[-1]
+
+        monkeypatch.setattr(kernel, "HAS_NUMBA", True)
+        monkeypatch.setattr(kernel, "greedy", spy)
+        kernel.warm_up()
+        assert len(results) == 1
+        ok, nstages, stage_vars, *_ = results[0]
+        assert (ok, nstages, stage_vars[0]) == (1, 1, 0)
 
 
 class TestWiderDomains:
