@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-import numpy as np
-
 from .core import LexModel, Outcome, TotalValueOrder, VariableSpace, iter_bits
 from .errors import InconsistentError, UnsupportedQueryError
 from .kernel import EncodedGamma
@@ -76,13 +74,9 @@ class ConsistencyResult:
 
 def _model_from_arrays(space: VariableSpace, nstages, stage_vars,
                        orders) -> LexModel:
-    stages = []
-    for i in range(nstages):
-        x = int(stage_vars[i])
-        d = space.domain_size(x)
-        ranking = tuple(int(v) for v in orders[x, :d])
-        stages.append(TotalValueOrder(space, x, ranking))
-    return LexModel(space, tuple(stages))
+    return LexModel(space, tuple(
+        TotalValueOrder(space, x, orders[x][:space.domain_size(x)])
+        for x in stage_vars[:nstages]))
 
 
 def consistent(space: VariableSpace, gamma: Sequence[PrefStatement],
@@ -109,9 +103,9 @@ def consistent_from_encoding(enc: EncodedGamma,
     ok, nstages, stage_vars, orders, fail, _, tests = enc.run()
     witness = _model_from_arrays(space, nstages, stage_vars, orders)
     failures = tuple(
-        StatementFailure(j, enc.statements[j], _REASON_BY_CODE[int(fail[j])])
+        StatementFailure(j, enc.statements[j], _REASON_BY_CODE[fail[j]])
         for j in range(g) if fail[j])
-    tests = int(tests) + g
+    tests += g
     if verify:
         for j, st in enumerate(enc.statements):
             if satisfies(witness, st) != (fail[j] == 0):
@@ -235,18 +229,11 @@ def valid_extension(space: VariableSpace, gamma: Sequence[PrefStatement],
     return TotalValueOrder(space, x, tuple(order))
 
 
-def _comparison_arrays(space: VariableSpace,
-                       rows: Sequence[tuple[Outcome, Outcome, bool]]):
-    k = len(rows)
-    n = space.n
-    xleft = np.empty((k, n), np.int16)
-    xright = np.empty((k, n), np.int16)
-    xstrict = np.empty(k, np.bool_)
-    for i, (left, right, strict) in enumerate(rows):
-        xleft[i] = left.values
-        xright[i] = right.values
-        xstrict[i] = strict
-    return xleft, xright, xstrict
+def _comparison_arrays(rows: Sequence[tuple[Outcome, Outcome, bool]]):
+    """The kernel's ``xleft``, ``xright``, ``xstrict`` for ``rows``."""
+    return ([left.values for left, _, _ in rows],
+            [right.values for _, right, _ in rows],
+            [strict for _, _, strict in rows])
 
 
 def consistent_with_comparisons(enc: EncodedGamma,
@@ -262,7 +249,7 @@ def consistent_with_comparisons(enc: EncodedGamma,
     for left, right, strict in rows:
         if strict and left.values == right.values:
             return False
-    ok, *_ = enc.run(*_comparison_arrays(enc.space, rows))
+    ok, *_ = enc.run(*_comparison_arrays(rows))
     return ok == 1
 
 

@@ -8,8 +8,12 @@ verdict and every optimality membership test that no recorded model
 answers is one run: 36 runs per ``optimal`` op on the benchmark's desk
 grid, and about 15,000 over the 90 instances (m=100) of the desk-scale
 acceptance test.  So it operates on a flat array encoding and is
-JIT-compiled with numba when available (the ``jit`` extra); without numba
-the same source runs as plain Python over numpy arrays.
+JIT-compiled with numba when available (the ``jit`` extra), which takes
+the tables as numpy arrays.  Without numba the same source runs as plain
+Python over the tables converted once to lists of ints, and keeps its
+working state and its results in lists; :func:`backend_name` still reports
+that backend as ``'numpy'``.  The kernel subscripts only one dimension at
+a time (``xleft[k][x]``), so one source serves both forms.
 
 :class:`EncodedGamma` owns the array format.  Per-variable constraint data
 is in CSR layout (``*_ptr`` of length n+1 indexing flat entry arrays).
@@ -31,11 +35,12 @@ Entry arrays:
 ``xstrict`` carry extra complete-outcome comparisons appended to the base
 statement set; membership tests use them to avoid re-encoding per query.
 
-Returns ``(ok, stage_count, stage_vars, orders, fail, xfail, tests)``
-where ``fail`` codes are 0 ok, 2 strictness never witnessed (both
-difference blocks), 3 strictness never witnessed (either block), 4
-negation never witnessed, and ``tests`` counts elementary per-statement
-constraint evaluations.
+Returns ``(ok, stage_count, stage_vars, orders, fail, xfail, tests)``,
+the middle four as lists (``orders[x]`` is variable x's ranking, padded
+with -1 to ``dmax``), where ``fail`` codes are 0 ok, 2 strictness never
+witnessed (both difference blocks), 3 strictness never witnessed (either
+block), 4 negation never witnessed, and ``tests`` counts elementary
+per-statement constraint evaluations.
 """
 
 from __future__ import annotations
@@ -76,27 +81,27 @@ def _greedy_impl(
     nt_ptr, nt_stmt,
     xleft, xright, xstrict,
 ):
-    g = kind.shape[0]
-    xk = xstrict.shape[0]
+    g = len(kind)
+    xk = len(xstrict)
 
-    active = np.ones(g, np.bool_)      # both-difference block untouched so far
-    eligible = np.ones(g, np.bool_)    # negated rows: stages so far all held/agreed
-    touched = np.zeros(g, np.bool_)    # some difference variable entered the model
-    xactive = np.ones(xk, np.bool_)
-    in_model = np.zeros(n, np.bool_)
-    wcount = np.zeros(n, np.int64)
+    active = [True] * g      # both-difference block untouched so far
+    eligible = [True] * g    # negated rows: stages so far all held/agreed
+    touched = [False] * g    # some difference variable entered the model
+    xactive = [True] * xk
+    in_model = [False] * n
+    wcount = [0] * n
     for x in range(n):
         wcount[x] = wb_ptr[x + 1] - wb_ptr[x]
 
-    orders = np.full((n, dmax), -1, np.int16)
-    stage_vars = np.full(n, -1, np.int32)
+    orders = [[-1] * dmax for _ in range(n)]
+    stage_vars = [-1] * n
     nstages = 0
     tests = 0
 
-    edge = np.zeros((dmax, dmax), np.bool_)
-    indeg = np.zeros(dmax, np.int64)
-    placed = np.zeros(dmax, np.bool_)
-    result = np.zeros(dmax, np.int16)
+    edge = [[False] * dmax for _ in range(dmax)]
+    indeg = [0] * dmax
+    placed = [False] * dmax
+    result = [0] * dmax
 
     while True:
         appended = False
@@ -110,8 +115,9 @@ def _greedy_impl(
             for a in range(d):
                 indeg[a] = 0
                 placed[a] = False
+                row = edge[a]
                 for b in range(d):
-                    edge[a, b] = False
+                    row[b] = False
             ok = True
             best = -1
             worst = -1
@@ -122,8 +128,8 @@ def _greedy_impl(
                     continue
                 a = rs_r[e]
                 b = rs_s[e]
-                if not edge[a, b]:
-                    edge[a, b] = True
+                if not edge[a][b]:
+                    edge[a][b] = True
                     indeg[b] += 1
             for e in range(nr_ptr[x], nr_ptr[x + 1]):
                 tests += 1
@@ -132,17 +138,17 @@ def _greedy_impl(
                     continue
                 a = nr_s[e]       # reversed: deny left-above-right
                 b = nr_r[e]
-                if not edge[a, b]:
-                    edge[a, b] = True
+                if not edge[a][b]:
+                    edge[a][b] = True
                     indeg[b] += 1
             for kx in range(xk):
                 tests += 1
                 if not xactive[kx]:
                     continue
-                a = xleft[kx, x]
-                b = xright[kx, x]
-                if a != b and not edge[a, b]:
-                    edge[a, b] = True
+                a = xleft[kx][x]
+                b = xright[kx][x]
+                if a != b and not edge[a][b]:
+                    edge[a][b] = True
                     indeg[b] += 1
             for e in range(bo_ptr[x], bo_ptr[x + 1]):
                 tests += 1
@@ -172,8 +178,9 @@ def _greedy_impl(
             if ok and best != -1 and indeg[best] > 0:
                 ok = False
             if ok and worst != -1:
+                row = edge[worst]
                 for b in range(d):
-                    if edge[worst, b]:
+                    if row[b]:
                         ok = False
                         break
             if ok:
@@ -184,8 +191,9 @@ def _greedy_impl(
                     placed[best] = True
                     result[pos] = best
                     pos += 1
+                    row = edge[best]
                     for b in range(d):
-                        if edge[best, b]:
+                        if row[b]:
                             indeg[b] -= 1
                 nmid = d - pos
                 if worst != -1:
@@ -206,8 +214,9 @@ def _greedy_impl(
                     result[pos] = pick
                     pos += 1
                     filled += 1
+                    row = edge[pick]
                     for b in range(d):
-                        if edge[pick, b]:
+                        if row[b]:
                             indeg[b] -= 1
                 if ok and worst != -1:
                     result[pos] = worst
@@ -218,8 +227,9 @@ def _greedy_impl(
             in_model[x] = True
             stage_vars[nstages] = x
             nstages += 1
+            order = orders[x]
             for a in range(d):
-                orders[x, a] = result[a]
+                order[a] = result[a]
             for e in range(rs_ptr[x], rs_ptr[x + 1]):
                 j = rs_stmt[e]
                 touched[j] = True
@@ -234,7 +244,7 @@ def _greedy_impl(
             for e in range(nt_ptr[x], nt_ptr[x + 1]):
                 eligible[nt_stmt[e]] = False
             for kx in range(xk):
-                if xactive[kx] and xleft[kx, x] != xright[kx, x]:
+                if xactive[kx] and xleft[kx][x] != xright[kx][x]:
                     xactive[kx] = False
             appended = True
             break
@@ -242,7 +252,7 @@ def _greedy_impl(
             break
 
     ok_all = True
-    fail = np.zeros(g, np.uint8)
+    fail = [0] * g
     for j in range(g):
         tests += 1
         k = kind[j]           # _KIND_CODE
@@ -258,7 +268,7 @@ def _greedy_impl(
             if eligible[j]:
                 fail[j] = 4
                 ok_all = False
-    xfail = np.zeros(xk, np.uint8)
+    xfail = [0] * xk
     for kx in range(xk):
         tests += 1
         if xstrict[kx] and xactive[kx]:
@@ -274,8 +284,9 @@ greedy = njit(cache=True, nogil=True)(_greedy_impl) if HAS_NUMBA else _greedy_im
 class EncodedGamma:
     """Flat array encoding of a statement set, reusable across kernel runs.
 
-    Builds the per-variable CSR constraint tables once; membership queries
-    then pass extra outcome comparisons as small arrays instead of
+    Builds the per-variable CSR constraint tables once, as numpy arrays for
+    the compiled kernel or as lists for the interpreter; membership queries
+    then pass extra outcome comparisons as rows of values instead of
     re-encoding the whole set.  The pair and pin tables come from the
     blocks' ``vals``; the W tables (``wb``, ``sw``, ``nt``) come from a
     g-by-n bit matrix of the statements' masks.
@@ -325,7 +336,7 @@ class EncodedGamma:
             axis=1, count=n, bitorder="little")
         neg = kind == _KIND_CODE[StatementKind.NEGATED_NON_STRICT]
         by_var = np.ascontiguousarray(bits.T)
-        self._args = (
+        args = (
             n, space.dmax,
             np.array([space.domain_size(i) for i in range(n)], np.int32),
             kind,
@@ -333,16 +344,39 @@ class EncodedGamma:
             *_csr_bits(by_var & ~neg), *_csr_bits(bits & ~neg[:, None]),
             *_csr(nr, 3), *_csr_bits(by_var & neg),
         )
-        self._no_extras = (np.zeros((0, n), np.int16),
-                           np.zeros((0, n), np.int16),
-                           np.zeros(0, np.bool_))
+        self._args = args if HAS_NUMBA else _as_lists(args)
 
-    def run(self, xleft: np.ndarray | None = None,
-            xright: np.ndarray | None = None,
-            xstrict: np.ndarray | None = None):
-        if xleft is None:
-            xleft, xright, xstrict = self._no_extras
+    def run(self, xleft: Sequence[Sequence[int]] = (),
+            xright: Sequence[Sequence[int]] = (),
+            xstrict: Sequence[bool] = ()):
+        """One kernel run over the set plus comparison rows.
+
+        Row k asks for an outcome with values ``xleft[k]`` above one with
+        values ``xright[k]``, strictly when ``xstrict[k]``.
+        """
+        if HAS_NUMBA:
+            xleft, xright, xstrict = _as_arrays(self.space.n, xleft, xright,
+                                                xstrict)
         return greedy(*self._args, xleft, xright, xstrict)
+
+
+def _as_lists(args: tuple) -> tuple:
+    """The kernel's arguments as the interpreter runs them: lists of ints.
+
+    A subscript of a list is several times cheaper in plain Python than one
+    of a numpy array, which builds a numpy scalar.
+    """
+    return tuple(a.tolist() if isinstance(a, np.ndarray) else a for a in args)
+
+
+def _as_arrays(n: int, xleft, xright, xstrict) -> tuple:
+    """Comparison rows as the compiled kernel takes them: numpy arrays.
+
+    numba would take lists as reflected lists, which it deprecates.
+    """
+    return (np.array(xleft, np.int16).reshape(len(xleft), n),
+            np.array(xright, np.int16).reshape(len(xright), n),
+            np.array(xstrict, np.bool_))
 
 
 def _csr(buckets, width: int) -> tuple:

@@ -42,8 +42,6 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .core import LexModel, Outcome, VariableSpace, iter_bits
 # consistent_with_comparisons stays importable here: perfbench/spans.py
 # hooks it as this module's comparison-test span.
@@ -56,7 +54,7 @@ from .statements import PrefStatement
 class AlternativeSet:
     """An ordered set of distinct outcomes to choose among."""
 
-    __slots__ = ("space", "outcomes", "_matrix", "_index")
+    __slots__ = ("space", "outcomes", "_index")
 
     def __init__(self, space: VariableSpace, outcomes: Iterable[Outcome]):
         outcomes = tuple(outcomes)
@@ -72,7 +70,6 @@ class AlternativeSet:
             seen[o.values] = i
         self.space = space
         self.outcomes = outcomes
-        self._matrix = None
         self._index = seen
 
     def __len__(self) -> int:
@@ -89,12 +86,6 @@ class AlternativeSet:
             return self._index[outcome.values]
         except KeyError:
             raise ValueError("outcome is not one of the alternatives") from None
-
-    def matrix(self) -> np.ndarray:
-        """(m, n) int16 value matrix, cached."""
-        if self._matrix is None:
-            self._matrix = np.array([o.values for o in self.outcomes], np.int16)
-        return self._matrix
 
 
 @dataclass(frozen=True)
@@ -167,10 +158,11 @@ def equivalence_classes(space: VariableSpace, gamma: Sequence[PrefStatement],
 class _MembershipRun:
     """Shared state for membership tests over one instance.
 
-    Every model of the statement set seen so far is kept as certificates
-    over the class representatives: ``top[p]`` when p was optimal in one,
-    ``sole_top[p]`` when p alone was, ``beats[p, q]`` when p was strictly
-    above q.  A test that a certificate already answers runs no kernel.
+    Every model of the statement set seen so far is kept as certificates,
+    bitmasks over the class representatives' positions: bit p of ``top``
+    when p was optimal in one, of ``sole_top`` when p alone was, and bit q
+    of ``beats[p]`` when p was strictly above q.  A test that a certificate
+    already answers runs no kernel.
     """
 
     def __init__(self, space: VariableSpace, gamma: Sequence[PrefStatement],
@@ -182,64 +174,64 @@ class _MembershipRun:
             raise InconsistentError("statement set has no model")
         self.eq_classes = _class_partition(res.witness.vmask, alternatives)
         self.reps = [cls[0] for cls in self.eq_classes]
-        self.rep_matrix = alternatives.matrix()[self.reps]
-        k = len(self.reps)
-        self.top = np.zeros(k, np.bool_)
-        self.sole_top = np.zeros(k, np.bool_)
-        self.beats = np.zeros((k, k), np.bool_)
-        self._record(np.array([res.witness.key(alternatives[i])
-                               for i in self.reps]).reshape(k, -1))
+        self.rep_values = [alternatives[i].values for i in self.reps]
+        self.top = 0
+        self.sole_top = 0
+        self.beats = [0] * len(self.reps)
+        self._record([res.witness.key(alternatives[i]) for i in self.reps])
 
-    def _record(self, keys: np.ndarray) -> None:
+    def _record(self, keys: list[tuple[int, ...]]) -> None:
         """Add the certificates of a model given each rep's stage-wise key.
 
         ``keys[p]`` ranks rep p's value at each stage of the model (0 best),
-        so reps compare as their rows do lexicographically.
+        so reps compare as their keys do lexicographically.
         """
-        order = (np.lexsort(keys.T[::-1]) if keys.size
-                 else np.arange(len(keys)))   # a model with no stage
-        ranked = keys[order]
-        rank = np.empty(len(order), np.int64)
-        rank[order] = np.concatenate(
-            ([0], np.cumsum(np.any(ranked[1:] != ranked[:-1], axis=1))))
-        best = rank == 0
-        self.top |= best
-        if np.count_nonzero(best) == 1:
-            self.sole_top |= best
-        self.beats |= rank[:, None] < rank[None, :]
+        groups: dict[tuple[int, ...], int] = {}    # key -> reps holding it
+        for p, key in enumerate(keys):
+            groups[key] = groups.get(key, 0) | 1 << p
+        below = 0
+        for key in sorted(groups, reverse=True):   # worst group first
+            group = groups[key]
+            if below:
+                for p in iter_bits(group):
+                    self.beats[p] |= below
+            below |= group
+        self.top |= group                          # the best group
+        if group & (group - 1) == 0:
+            self.sole_top |= group
 
-    def _holds(self, left: np.ndarray, right: np.ndarray,
-               strict: bool) -> bool:
+    def _holds(self, left: list[tuple[int, ...]],
+               right: list[tuple[int, ...]], strict: bool) -> bool:
         """Does some model put each left row above its right row?
 
         One kernel run; the model it returns, if any, is recorded.
         """
         ok, nstages, stage_vars, orders, *_ = self.enc.run(
-            left, right, np.full(len(left), strict, np.bool_))
+            left, right, [strict] * len(left))
         if ok != 1:
             return False
-        stage_orders = orders[stage_vars[:nstages]]
-        values = self.rep_matrix[:, stage_vars[:nstages]]
-        self._record((stage_orders[None] == values[:, :, None]).argmax(axis=2))
+        stages = [(x, orders[x]) for x in stage_vars[:nstages]]
+        self._record([tuple([order.index(values[x]) for x, order in stages])
+                      for values in self.rep_values])
         return True
 
     def _one_vs_rest(self, rep_pos: int, strict: bool) -> bool:
-        rest = np.delete(self.rep_matrix, rep_pos, axis=0)
-        left = np.repeat(self.rep_matrix[rep_pos:rep_pos + 1], len(rest), 0)
-        return self._holds(left, rest, strict)
+        values = self.rep_values
+        rest = values[:rep_pos] + values[rep_pos + 1:]
+        return self._holds([values[rep_pos]] * len(rest), rest, strict)
 
     def po_rep(self, rep_pos: int) -> bool:
-        return (bool(self.top[rep_pos])
+        return (bool(self.top >> rep_pos & 1)
                 or self._one_vs_rest(rep_pos, strict=False))
 
     def pso_rep(self, rep_pos: int) -> bool:
-        return (bool(self.sole_top[rep_pos])
+        return (bool(self.sole_top >> rep_pos & 1)
                 or self._one_vs_rest(rep_pos, strict=True))
 
     def _pair(self, left_rep: int, right_rep: int) -> bool:
-        return bool(self.beats[left_rep, right_rep]) or self._holds(
-            self.rep_matrix[left_rep:left_rep + 1],
-            self.rep_matrix[right_rep:right_rep + 1], strict=True)
+        return bool(self.beats[left_rep] >> right_rep & 1) or self._holds(
+            self.rep_values[left_rep:left_rep + 1],
+            self.rep_values[right_rep:right_rep + 1], strict=True)
 
     def csd_rep(self, rep_pos: int) -> bool:
         # undominated: the alternative can strictly beat every

@@ -1,9 +1,11 @@
 """End-to-end command-line behaviour."""
 
+import hashlib
 import json
 
 import pytest
 
+from lexpref import cli
 from lexpref.cli import main
 from test_instance_format import FLIGHT_FILE
 
@@ -173,6 +175,16 @@ class TestGenAndBench:
                          "-o", str(out)]) == 0
         assert outs[0].read_text() == outs[1].read_text()
 
+    def test_bench_csv_digest_is_pinned(self, tmp_path):
+        # the recorded digest of this command's CSV; a change to generation,
+        # the kernel or the optimality pipeline that moves a byte shows here
+        out = tmp_path / "out.csv"
+        assert main(["bench", "--vars", "8,12", "--stmts", "10", "--alts",
+                     "20", "--reps", "2", "--seed", "1234", "--no-timings",
+                     "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "ed74bd79ecf2d6457e9987b5a8bee99e069991038e3130f2ead9177265e1230f")
+
     @pytest.mark.parametrize("reps", ["0", "-1"])
     def test_bench_rejects_non_positive_reps(self, tmp_path, capsys, reps):
         out = tmp_path / "bench.csv"
@@ -204,6 +216,34 @@ class TestOracleCommand:
         code = main(["oracle", flight_file, "--cap", "10"])
         assert code == 3
         assert "refused" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_one_parser_prints_what_fresh_ones_print(self, flight_file,
+                                                     capsys, monkeypatch):
+        calls = (["check", flight_file], ["check"], ["optimal", flight_file])
+        real = cli.build_parser
+        builds = []
+
+        def counting():
+            builds.append(None)
+            return real()
+
+        def run(argv):
+            code = main(argv)
+            return (code, *capsys.readouterr())
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(run(argv))
+        cli._parser.cache_clear()
+        reused = [run(argv) for argv in calls]
+        cli._parser.cache_clear()
+        assert len(builds) == len(calls) + 1
+        assert [code for code, _, _ in reused] == [0, 2, 0]
+        assert reused == fresh
 
 
 class TestExitCodes:

@@ -1,8 +1,10 @@
 """Backend selection and the kernel on wider domains."""
 
-from helpers import random_gamma
+from helpers import (random_gamma, random_outcome, reference_encoding,
+                     small_space)
 from lexpref import VariableSpace, brute_consistent, consistent, satisfies
 from lexpref import kernel
+from lexpref.engine import _comparison_arrays
 from lexpref.kernel import HAS_NUMBA, backend_name
 from lexpref.rng import SplitMix64
 
@@ -25,6 +27,26 @@ class TestBackendSelection:
         assert len(results) == 1
         ok, nstages, stage_vars, *_ = results[0]
         assert (ok, nstages, stage_vars[0]) == (1, 1, 0)
+
+
+class TestArgumentForms:
+    def test_arrays_and_lists_run_alike(self):
+        # one kernel source over the numpy arrays the compiled kernel takes
+        # and over the lists the interpreter runs, on the instances of
+        # test_backends_agree_exactly, with and without a comparison row;
+        # a 2-D subscript or a list-only method breaks one of the two
+        rng = SplitMix64(201)
+        for _ in range(200):
+            space = small_space(rng)
+            arrays = reference_encoding(space, random_gamma(rng, space))
+            lists = kernel._as_lists(arrays)
+            row = (random_outcome(rng, space), random_outcome(rng, space),
+                   rng.randrange(2) == 1)
+            for rows in (((), (), ()), _comparison_arrays([row])):
+                from_arrays = kernel._greedy_impl(
+                    *arrays, *kernel._as_arrays(space.n, *rows))
+                from_lists = kernel._greedy_impl(*lists, *rows)
+                assert from_arrays == from_lists
 
 
 class TestWiderDomains:

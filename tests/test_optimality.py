@@ -326,11 +326,11 @@ class TestCertificates:
             reps = [alts[i] for i in run.reps]
             rep_set = AlternativeSet(space, reps)
             tops = [optimal_in_model(model, rep_set) for model in models]
-            assert [bool(run.top[p]) for p in range(k)] == [
+            assert [bool(run.top >> p & 1) for p in range(k)] == [
                 any(p in top for top in tops) for p in range(k)]
-            assert [bool(run.sole_top[p]) for p in range(k)] == [
+            assert [bool(run.sole_top >> p & 1) for p in range(k)] == [
                 any(top == {p} for top in tops) for p in range(k)]
-            assert [[bool(run.beats[p, q]) for q in range(k)]
+            assert [[bool(run.beats[p] >> q & 1) for q in range(k)]
                     for p in range(k)] == [
                 [any(lex_compare(model, reps[p], reps[q]) is Cmp.BETTER
                      for model in models) for q in range(k)]
@@ -338,12 +338,12 @@ class TestCertificates:
             # each certificate answers what a plain kernel run answers
             plain = PlainTests(space, gamma, alts)
             for p in range(k):
-                if run.top[p]:
+                if run.top >> p & 1:
                     assert plain.above_rest(p, strict=False)
-                if run.sole_top[p]:
+                if run.sole_top >> p & 1:
                     assert plain.above_rest(p, strict=True)
                 for q in range(k):
-                    if run.beats[p, q]:
+                    if run.beats[p] >> q & 1:
                         assert plain.beats(p, q)
 
     def test_certificates_save_kernel_runs(self, monkeypatch):
