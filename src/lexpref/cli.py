@@ -53,6 +53,18 @@ def _load(path: str) -> Instance:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
 
 
+def _write_output(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout when ``path`` is ``-``."""
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise LexPrefError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _witness_json(result) -> list[list]:
     return [[st.variable, list(st.ranking_names())]
             for st in result.witness.stages]
@@ -178,12 +190,7 @@ def cmd_gen(args) -> int:
     header = (f"generated instance: vars={cfg.n} stmts={cfg.g} "
               f"alts={cfg.m} seed={cfg.seed} "
               f"domains={cfg.domain_min}..{cfg.domain_max}")
-    text = _instance_to_file(gen, header)
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    _write_output(args.output, _instance_to_file(gen, header))
     return EXIT_OK
 
 
@@ -234,12 +241,7 @@ def bench_rows(vars_list, stmts_list, alts, reps, seed, timings=True):
 def cmd_bench(args) -> int:
     rows = bench_rows(args.vars, args.stmts, args.alts, args.reps, args.seed,
                       timings=not args.no_timings)
-    text = "\n".join([BENCH_HEADER] + rows) + "\n"
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    _write_output(args.output, "\n".join([BENCH_HEADER] + rows) + "\n")
     return EXIT_OK
 
 

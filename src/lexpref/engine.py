@@ -242,13 +242,10 @@ def consistent_with_comparisons(enc: EncodedGamma,
     """Consistency of the encoded set plus extra outcome comparisons.
 
     The fast path behind inference and optimality membership: the base
-    encoding is reused, only the comparison rows change per query.
+    encoding is reused, only the comparison rows change per query.  An
+    individually unsatisfiable statement, or a strict row between equal
+    outcomes, is one the kernel never sees witnessed, so it fails the run.
     """
-    if enc.inconsistent_indices:
-        return False
-    for left, right, strict in rows:
-        if strict and left.values == right.values:
-            return False
     ok, *_ = enc.run(*_comparison_arrays(rows))
     return ok == 1
 

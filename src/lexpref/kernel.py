@@ -11,25 +11,31 @@ acceptance test.  So it operates on a flat array encoding and is
 JIT-compiled with numba when available (the ``jit`` extra), which takes
 the tables as numpy arrays.  Without numba the same source runs as plain
 Python over the tables converted once to lists of ints, and keeps its
-working state and its results in lists; :func:`backend_name` still reports
-that backend as ``'numpy'``.  The kernel subscripts only one dimension at
-a time (``xleft[k][x]``), so one source serves both forms.
+working state and its results in lists; :func:`backend_name` reports that
+backend as ``'python'``.  The kernel subscripts only one dimension at a
+time (``xleft[k][x]``), so one source serves both forms.
+
+Every statement kind is strongly compositional, so negations need no second
+case: a negated statement is live until it is witnessed, as any other
+statement is live until its both-difference block is touched, and while
+live it requires the reversed pair.
 
 :class:`EncodedGamma` owns the array format.  Per-variable constraint data
 is in CSR layout (``*_ptr`` of length n+1 indexing flat entry arrays).
 Entry arrays:
 
 * ``rs_*``   statements with the variable in both difference blocks
-  (required pair: left value above right value)
+  (required pair ``rs_hi`` above ``rs_lo``: the left value above the right
+  one, or the reverse for a negation; appending the variable ends the
+  statement's liveness)
 * ``bo_*``   statements pinning a best value (left-only block)
 * ``wo_*``   statements pinning a worst value (right-only block)
-* ``wb_*``   non-negated statements with the variable in the residual
-  block (blocks the variable while the statement is live)
-* ``sw_*``   per-statement residual variable lists (reverse of ``wb``)
-* ``nr_*``   negated statements with the variable in the difference block
-  (required pair: right value above left value, while still eligible)
-* ``nt_*``   negated statements for which the variable falsifies the
-  inner statement outright (kills eligibility when appended)
+* ``w_count`` per variable, the non-negated statements with it in the
+  residual block (each blocks the variable while live)
+* ``sw_*``   per-statement residual variable lists of non-negated
+  statements (whose counts drop when the statement stops being live)
+* ``nt_*``   negated statements with the variable in the residual block
+  (appending it witnesses the negation, which ends its liveness)
 
 ``kind`` holds each statement's :data:`_KIND_CODE`.  ``xleft``/``xright``/
 ``xstrict`` carry extra complete-outcome comparisons appended to the base
@@ -72,26 +78,25 @@ _KIND_CODE = {
 def _greedy_impl(
     n, dmax, dom_sizes,
     kind,
-    rs_ptr, rs_stmt, rs_r, rs_s,
+    rs_ptr, rs_stmt, rs_hi, rs_lo,
     bo_ptr, bo_stmt, bo_val,
     wo_ptr, wo_stmt, wo_val,
-    wb_ptr, wb_stmt,
+    w_count,
     sw_ptr, sw_var,
-    nr_ptr, nr_stmt, nr_r, nr_s,
     nt_ptr, nt_stmt,
     xleft, xright, xstrict,
 ):
     g = len(kind)
     xk = len(xstrict)
 
-    active = [True] * g      # both-difference block untouched so far
-    eligible = [True] * g    # negated rows: stages so far all held/agreed
+    active = [True] * g      # live: both-difference block untouched,
+                             # or for a negation, not yet witnessed
     touched = [False] * g    # some difference variable entered the model
     xactive = [True] * xk
     in_model = [False] * n
     wcount = [0] * n
     for x in range(n):
-        wcount[x] = wb_ptr[x + 1] - wb_ptr[x]
+        wcount[x] = w_count[x]
 
     orders = [[-1] * dmax for _ in range(n)]
     stage_vars = [-1] * n
@@ -126,18 +131,8 @@ def _greedy_impl(
                 j = rs_stmt[e]
                 if not active[j]:
                     continue
-                a = rs_r[e]
-                b = rs_s[e]
-                if not edge[a][b]:
-                    edge[a][b] = True
-                    indeg[b] += 1
-            for e in range(nr_ptr[x], nr_ptr[x + 1]):
-                tests += 1
-                j = nr_stmt[e]
-                if not eligible[j]:
-                    continue
-                a = nr_s[e]       # reversed: deny left-above-right
-                b = nr_r[e]
+                a = rs_hi[e]
+                b = rs_lo[e]
                 if not edge[a][b]:
                     edge[a][b] = True
                     indeg[b] += 1
@@ -242,7 +237,7 @@ def _greedy_impl(
             for e in range(wo_ptr[x], wo_ptr[x + 1]):
                 touched[wo_stmt[e]] = True
             for e in range(nt_ptr[x], nt_ptr[x + 1]):
-                eligible[nt_stmt[e]] = False
+                active[nt_stmt[e]] = False
             for kx in range(xk):
                 if xactive[kx] and xleft[kx][x] != xright[kx][x]:
                     xactive[kx] = False
@@ -265,7 +260,7 @@ def _greedy_impl(
                 fail[j] = 3
                 ok_all = False
         elif k == 3:
-            if eligible[j]:
+            if active[j]:
                 fail[j] = 4
                 ok_all = False
     xfail = [0] * xk
@@ -288,8 +283,8 @@ class EncodedGamma:
     the compiled kernel or as lists for the interpreter; membership queries
     then pass extra outcome comparisons as rows of values instead of
     re-encoding the whole set.  The pair and pin tables come from the
-    blocks' ``vals``; the W tables (``wb``, ``sw``, ``nt``) come from a
-    g-by-n bit matrix of the statements' masks.
+    blocks' ``vals``; the W tables (``w_count``, ``sw``, ``nt``) come from a
+    g-by-n bit matrix of the statements' ``w_mask``.
     """
 
     def __init__(self, space: VariableSpace,
@@ -306,43 +301,37 @@ class EncodedGamma:
         rs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         bo: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         wo: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        nr: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        masks: list[int] = []    # W, or R|W for a negation
         for j, st in enumerate(self.statements):
             if st.space is not space and st.space != space:
                 raise ValueError("statement built over a different space")
             kind[j] = _KIND_CODE[st.kind]
             rvals, svals = st.r.vals, st.s.vals
-            if st.kind is StatementKind.NEGATED_NON_STRICT:
-                for x, a in rvals.items():
-                    nr[x].append((j, a, svals[x]))
-                masks.append(st.r_mask | st.w_mask)
-            else:
-                for x, a in rvals.items():
-                    b = svals.get(x)
-                    if b is None:
-                        bo[x].append((j, a))
-                    else:
-                        rs[x].append((j, a, b))
-                for x, b in svals.items():
-                    if x not in rvals:
-                        wo[x].append((j, b))
-                masks.append(st.w_mask)
+            negated = st.kind is StatementKind.NEGATED_NON_STRICT
+            for x, a in rvals.items():
+                b = svals.get(x)
+                if b is None:
+                    bo[x].append((j, a))
+                else:   # a negation's R and S blocks coincide
+                    rs[x].append((j, b, a) if negated else (j, a, b))
+            for x, b in svals.items():
+                if x not in rvals:
+                    wo[x].append((j, b))
 
         nbytes = (n + 7) // 8
         bits = np.unpackbits(
-            np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks),
+            np.frombuffer(b"".join(st.w_mask.to_bytes(nbytes, "little")
+                                   for st in self.statements),
                           np.uint8).reshape(g, nbytes),
             axis=1, count=n, bitorder="little")
         neg = kind == _KIND_CODE[StatementKind.NEGATED_NON_STRICT]
-        by_var = np.ascontiguousarray(bits.T)
+        sw_ptr, sw_var = _csr_bits(bits & ~neg[:, None])
         args = (
             n, space.dmax,
             np.array([space.domain_size(i) for i in range(n)], np.int32),
             kind,
             *_csr(rs, 3), *_csr(bo, 2), *_csr(wo, 2),
-            *_csr_bits(by_var & ~neg), *_csr_bits(bits & ~neg[:, None]),
-            *_csr(nr, 3), *_csr_bits(by_var & neg),
+            np.bincount(sw_var, minlength=n).astype(np.int32), sw_ptr, sw_var,
+            *_csr_bits(np.ascontiguousarray(bits.T) & neg),
         )
         self._args = args if HAS_NUMBA else _as_lists(args)
 
@@ -395,8 +384,8 @@ def _csr_bits(matrix: np.ndarray) -> tuple:
 
 
 def backend_name() -> str:
-    """The backend in use: 'numba' when importable, 'numpy' otherwise."""
-    return "numba" if HAS_NUMBA else "numpy"
+    """The backend in use: 'numba' when importable, 'python' otherwise."""
+    return "numba" if HAS_NUMBA else "python"
 
 
 def warm_up() -> None:

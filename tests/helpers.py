@@ -132,16 +132,16 @@ def reference_encoding(space: VariableSpace, statements) -> tuple:
     rs = [[] for _ in range(n)]
     bo = [[] for _ in range(n)]
     wo = [[] for _ in range(n)]
-    wb = [[] for _ in range(n)]
+    w_count = np.zeros(n, np.int32)
     sw = [[] for _ in range(g)]
-    nr = [[] for _ in range(n)]
     nt = [[] for _ in range(n)]
     for j, st in enumerate(statements):
         kind[j] = codes[st.kind]
         if st.kind is StatementKind.NEGATED_NON_STRICT:
-            for x in iter_bits(st.r_mask):
-                nr[x].append((j, st.r.vals[x], st.s.vals[x]))
-            for x in iter_bits(st.r_mask | st.w_mask):
+            # required pair reversed: right value above left value
+            for x in iter_bits(st.rs_mask):
+                rs[x].append((j, st.s.vals[x], st.r.vals[x]))
+            for x in iter_bits(st.w_mask):
                 nt[x].append((j,))
         else:
             for x in iter_bits(st.rs_mask):
@@ -151,15 +151,14 @@ def reference_encoding(space: VariableSpace, statements) -> tuple:
             for x in iter_bits(st.s_mask & ~st.r_mask):
                 wo[x].append((j, st.s.vals[x]))
             for x in iter_bits(st.w_mask):
-                wb[x].append((j,))
+                w_count[x] += 1
                 sw[j].append((x,))
     return (n, space.dmax,
             np.array([space.domain_size(i) for i in range(n)], np.int32),
             kind,
             *_csr(rs, np.int32, np.int16, np.int16),
             *_csr(bo, np.int32, np.int16), *_csr(wo, np.int32, np.int16),
-            *_csr(wb, np.int32), *_csr(sw, np.int32),
-            *_csr(nr, np.int32, np.int16, np.int16), *_csr(nt, np.int32))
+            w_count, *_csr(sw, np.int32), *_csr(nt, np.int32))
 
 
 def _csr(buckets, *dtypes) -> tuple:

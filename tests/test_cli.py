@@ -195,6 +195,47 @@ class TestGenAndBench:
         assert "reps" in capsys.readouterr().err
 
 
+class TestPinnedOutputs:
+    # recorded digests of the JSON the commands print on generated files;
+    # a change to the kernel, its encoding or the optimality pipeline that
+    # moves a witness, a set or test_count shows here
+
+    @staticmethod
+    def digest(argv, capsys) -> str:
+        capsys.readouterr()
+        assert main(argv) == 0
+        return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+    def generate(self, tmp_path, n, g, m, seed) -> str:
+        path = str(tmp_path / f"gen-{n}-{g}.lpq")
+        assert main(["gen", "--vars", str(n), "--stmts", str(g), "--alts",
+                     str(m), "--seed", str(seed), "-o", path]) == 0
+        return path
+
+    def test_check_json_on_a_large_file(self, tmp_path, capsys):
+        path = self.generate(tmp_path, 200, 1000, 1, 5)
+        assert self.digest(["check", path, "--json"], capsys) == (
+            "02054f328e402b11148a1876c32b856f1602a45bf9598a1b0d7fbeaee3837760")
+
+    @pytest.mark.parametrize("n, g, want", [
+        (10, 10,
+         "cf127525d12fba562c60ae3bea2341c534d094d89c1ce05ad54c77d8d9fb177c"),
+        (10, 50,
+         "d93d347e112073ba858de8f10e01b23800bae36eeb104645f31336521c926766"),
+        (10, 100,
+         "0584429643025c59cad5a4693690ef2dc4272f33e1090b82eb3c7d10382ac41a"),
+        (20, 10,
+         "1cec85e8e725ed96dbd7a62d58d187b6043eb18e72167ef447fecbd3bdaacc74"),
+        (20, 50,
+         "3592e1f5cd13d5777550f4839ed0efa363e2c06740a690eee7b6ed7db56547b7"),
+        (20, 100,
+         "34024c1de933658a7ff336c34b542f06b074a8ff81355df46020a5f72284000e"),
+    ])
+    def test_optimal_json_per_desk_cell(self, tmp_path, capsys, n, g, want):
+        path = self.generate(tmp_path, n, g, 20, 101)
+        assert self.digest(["optimal", path, "--json"], capsys) == want
+
+
 class TestOracleCommand:
     def test_flight_cross_check(self, flight_file, capsys):
         code = main(["oracle", flight_file])
@@ -258,6 +299,17 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent/x.lpq"]) == 3
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--vars", "4", "--stmts", "5", "--alts", "3", "--seed", "1"],
+        ["bench", "--vars", "4", "--stmts", "5", "--alts", "3", "--reps", "1",
+         "--seed", "1"],
+    ])
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "x"
+        assert main(argv + ["-o", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: No such file or directory\n")
 
     def test_parse_error(self, tmp_path, capsys):
         path = tmp_path / "broken.lpq"
