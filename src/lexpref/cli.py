@@ -10,10 +10,11 @@ Subcommands::
     oracle FILE                    brute-force cross-check at small scale
 
 Exit codes: 0 success / positive verdict, 1 inconsistent or negative
-verdict, 2 usage error, 3 input error.  Given identical arguments and
-files, all output except measured timings is byte-identical across runs;
-``bench --no-timings`` zeroes the timing columns for fully reproducible
-CSV files.
+verdict, 2 usage error, 3 input error, 141 (128 + SIGPIPE) standard output
+closed by its reader (``lexpref check FILE --json | head -1``).  Given
+identical arguments and files, all output except measured timings is
+byte-identical across runs; ``bench --no-timings`` zeroes the timing
+columns for fully reproducible CSV files.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from time import perf_counter
 
@@ -35,11 +37,13 @@ from .optimality import compute_sets_timed
 from .oracle import (MODEL_CAP_DEFAULT, brute_consistent, brute_optimal_sets,
                      model_count)
 from .rng import derive_seed
+from .statements import outcome_comparison
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
+EXIT_BROKEN_PIPE = 141
 
 BENCH_HEADER = ("n,g,m,rep,NO,PO,PSO,CSD,"
                 "t_check_ms,t_po_ms,t_pso_ms,t_csd_ms,t_no_ms")
@@ -101,23 +105,19 @@ def cmd_infer(args) -> int:
     instance = _load(args.file)
     query = parse_query(instance, args.query)
     space, gamma = instance.space, instance.statements
-    if query[0] == "cmp":
-        _, op, left, right = query
+    if query[0] == "cmp" and query[1] == "==":
         if args.max_model:
-            if op == "==":
-                raise UnsupportedQueryError(
-                    "maximal-model inference does not support '=='")
-            from .statements import outcome_comparison
-            st = outcome_comparison(space, left, right, strict=(op == ">"))
-            verdict = entails_max(space, gamma, st)
-        else:
-            verdict = entails(space, gamma, op, left, right)
+            raise UnsupportedQueryError(
+                "maximal-model inference does not support '=='")
+        verdict = entails(space, gamma, *query[1:])
     else:
-        _, st = query
-        if args.max_model:
-            verdict = entails_max(space, gamma, st)
+        if query[0] == "cmp":
+            _, op, left, right = query
+            st = outcome_comparison(space, left, right, strict=op == ">")
         else:
-            verdict = entails_general(space, gamma, st)
+            _, st = query
+        verdict = (entails_max if args.max_model
+                   else entails_general)(space, gamma, st)
     if args.json:
         print(json.dumps({"query": args.query, "entailed": verdict,
                           "max_model": bool(args.max_model)}, indent=2))
@@ -361,10 +361,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()    # a reader that left surfaces here, not at exit
     except (LexPrefError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; let that flush
+        # write to the null device instead of raising a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return status
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from .core import LexModel, Outcome, TotalValueOrder, VariableSpace, iter_bits
 from .errors import InconsistentError, UnsupportedQueryError
 from .kernel import EncodedGamma
 from .statements import (PrefStatement, StatementKind, inner_statement,
-                         negate_non_strict, satisfies)
+                         negate_non_strict, outcome_comparison, satisfies)
 
 
 class FailureReason(Enum):
@@ -140,7 +140,13 @@ def build_maximal_star_model(space: VariableSpace,
 
 def _complete_order(d: int, pair_list: list[tuple[int, int]],
                     best: int | None, worst: int | None) -> list[int] | None:
-    """Deterministic topological completion shared with the kernel's rules."""
+    """Deterministic completion in the explicit reference form.
+
+    Checks the pin clashes one by one, then places a pinned best value
+    first, a pinned worst value last and the rest by smallest-index
+    topological order.  The kernel turns the pins into edges and runs one
+    topological pass instead; the orders agree, which tests check.
+    """
     edge = [[False] * d for _ in range(d)]
     indeg = [0] * d
     for a, b in pair_list:
@@ -254,18 +260,16 @@ def entails(space: VariableSpace, gamma: Sequence[PrefStatement], op: str,
             left: Outcome, right: Outcome) -> bool:
     """Outcome-comparison inference by reduction to consistency.
 
-    ``op`` is one of ``>=``, ``>``, ``==``.  The first two hold exactly
-    when adding the opposite comparison makes the set inconsistent; the
+    ``op`` is one of ``>=``, ``>``, ``==``.  The first two are the
+    comparison statement's inference (:func:`entails_general`); the
     equivalence query projects both outcomes onto the variables of the
     maximal model.
     """
-    enc = EncodedGamma(space, gamma)
-    if op == ">=":
-        return not consistent_with_comparisons(enc, [(right, left, True)])
-    if op == ">":
-        return not consistent_with_comparisons(enc, [(right, left, False)])
+    if op in (">=", ">"):
+        return entails_general(space, gamma, outcome_comparison(
+            space, left, right, strict=op == ">"))
     if op == "==":
-        res = consistent_from_encoding(enc)
+        res = consistent(space, gamma, verify=False)
         if not res.consistent:
             return True
         vmask = res.witness.vmask

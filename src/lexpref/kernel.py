@@ -3,12 +3,15 @@
 This is the package's hot loop: it grows a maximal star-model of a
 statement set one stage at a time, appending the first variable in
 declaration order that admits a valid extension, and then checks the
-strictness / negation conditions on the result.  Every consistency
-verdict and every optimality membership test that no recorded model
-answers is one run: 36 runs per ``optimal`` op on the benchmark's desk
-grid, and about 15,000 over the 90 instances (m=100) of the desk-scale
-acceptance test.  So it operates on a flat array encoding and is
-JIT-compiled with numba when available (the ``jit`` extra), which takes
+strictness / negation conditions on the result.  A variable admits one iff
+its live required pairs plus pin edges (pinned best above every other
+value, every other value above pinned worst) have a topological order, so
+one smallest-index Kahn pass decides the stage and ranks it.  Every
+consistency verdict and every optimality membership test that no recorded
+model answers is one run: 36 runs per ``optimal`` op on the benchmark's
+desk grid, and about 15,000 over the 90 instances (m=100) of the
+desk-scale acceptance test.  So it operates on a flat array encoding and
+is JIT-compiled with numba when available (the ``jit`` extra), which takes
 the tables as numpy arrays.  Without numba the same source runs as plain
 Python over the tables converted once to lists of ints, and keeps its
 working state and its results in lists; :func:`backend_name` reports that
@@ -105,7 +108,6 @@ def _greedy_impl(
 
     edge = [[False] * dmax for _ in range(dmax)]
     indeg = [0] * dmax
-    placed = [False] * dmax
     result = [0] * dmax
 
     while True:
@@ -119,7 +121,6 @@ def _greedy_impl(
             d = dom_sizes[x]
             for a in range(d):
                 indeg[a] = 0
-                placed[a] = False
                 row = edge[a]
                 for b in range(d):
                     row[b] = False
@@ -168,55 +169,34 @@ def _greedy_impl(
                     elif worst != v:
                         ok = False
                         break
-            if ok and best != -1 and worst != -1 and best == worst and d >= 2:
-                ok = False
-            if ok and best != -1 and indeg[best] > 0:
-                ok = False
-            if ok and worst != -1:
-                row = edge[worst]
+            if not ok:
+                continue
+            # Pins become edges, so a clash closes a cycle.
+            for a in range(d):
+                if best != -1 and a != best and not edge[best][a]:
+                    edge[best][a] = True
+                    indeg[a] += 1
+                if worst != -1 and a != worst and not edge[a][worst]:
+                    edge[a][worst] = True
+                    indeg[worst] += 1
+            # Smallest-index Kahn pass; a placed value's indeg becomes -1.
+            pos = 0
+            while pos < d:
+                pick = -1
+                for a in range(d):
+                    if indeg[a] == 0:
+                        pick = a
+                        break
+                if pick == -1:
+                    break
+                indeg[pick] = -1
+                result[pos] = pick
+                pos += 1
+                row = edge[pick]
                 for b in range(d):
                     if row[b]:
-                        ok = False
-                        break
-            if ok:
-                # Deterministic completion: pinned best first, pinned worst
-                # last, the rest by smallest-index topological selection.
-                pos = 0
-                if best != -1:
-                    placed[best] = True
-                    result[pos] = best
-                    pos += 1
-                    row = edge[best]
-                    for b in range(d):
-                        if row[b]:
-                            indeg[b] -= 1
-                nmid = d - pos
-                if worst != -1:
-                    nmid -= 1
-                filled = 0
-                while filled < nmid:
-                    pick = -1
-                    for a in range(d):
-                        if placed[a] or a == worst:
-                            continue
-                        if indeg[a] == 0:
-                            pick = a
-                            break
-                    if pick == -1:
-                        ok = False
-                        break
-                    placed[pick] = True
-                    result[pos] = pick
-                    pos += 1
-                    filled += 1
-                    row = edge[pick]
-                    for b in range(d):
-                        if row[b]:
-                            indeg[b] -= 1
-                if ok and worst != -1:
-                    result[pos] = worst
-                    pos += 1
-            if not ok:
+                        indeg[b] -= 1
+            if pos < d:
                 continue
 
             in_model[x] = True

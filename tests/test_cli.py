@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -317,3 +321,21 @@ class TestExitCodes:
         assert main(["check", str(path)]) == 3
         err = capsys.readouterr().err
         assert "line 1" in err
+
+    def test_closed_stdout_exits_141_quietly(self, flight_file):
+        # the reader is gone before the command starts, as after `| head`
+        # has read enough; no traceback, and not a negative verdict
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "lexpref.cli", "check", flight_file,
+                 "--json"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")

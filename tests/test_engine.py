@@ -300,12 +300,16 @@ class TestConsistent:
                 for got, want in zip(compiled, source):
                     np.testing.assert_array_equal(got, want)
 
-    def test_kernel_matches_reference_greedy(self):
+    @pytest.mark.parametrize("max_vars, max_domain, max_statements",
+                             [(5, 4, 6), (4, 9, 12)])
+    def test_kernel_matches_reference_greedy(self, max_vars, max_domain,
+                                             max_statements):
+        # the wide case meets pin/pair clashes on domains of up to nine values
         rng = SplitMix64(223)
         done = 0
         while done < 400:
-            space = small_space(rng, max_vars=5, max_domain=4)
-            gamma = [st for st in random_gamma(rng, space, max_statements=6)
+            space = small_space(rng, max_vars=max_vars, max_domain=max_domain)
+            gamma = [st for st in random_gamma(rng, space, max_statements)
                      if statement_consistent(st)]
             if not gamma:
                 continue
@@ -401,8 +405,6 @@ class TestEntails:
                 tuple(rng.randrange(space.domain_size(i))
                       for i in range(space.n)))
             strict = rng.coin()
-            if strict and left.values == right.values:
-                continue
             query = outcome_comparison(space, left, right, strict=strict)
             want = brute_entails(space, gamma, query)
             got = entails(space, gamma, ">" if strict else ">=", left, right)
