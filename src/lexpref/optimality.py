@@ -12,15 +12,17 @@ of them once every statement composes (which all statements here do):
 * ``NO``  optimal in every model (necessarily optimal)
 
 Membership reduces to consistency: one engine run per alternative for PO
-and PSO, one per competitor for CSD and NO.  Every model a successful run
-returns, and the maximal model, is kept as certificates of which
-representatives it makes optimal, alone at the top, or strictly above
-which others; a test such a certificate covers runs no kernel.  That is
-sound because the model satisfies the statement set plus the test's
-comparisons, so the set is consistent, which is exactly what the kernel
-decides.  Alternatives agreeing on the maximal model's variables are
-interchangeable in every model, so all computations run on one
-representative per equivalence class and expand afterwards.
+and PSO, one per competitor for CSD and NO.  :func:`_ranked_groups` reads
+how a model ranks outcomes from the kernel's arrays, splitting them stage
+by stage until each stands alone; its groups of all alternatives under
+the maximal model are the equivalence classes, interchangeable in every
+model, so all computations run on one representative per class and
+expand afterwards.  Every model a successful run returns, and the maximal
+model, is kept as certificates of which representatives it makes optimal,
+alone at the top, or strictly above which others; a test such a
+certificate covers runs no kernel.  That is sound because the model
+satisfies the statement set plus the test's comparisons, so the set is
+consistent, which is exactly what the kernel decides.
 ``compute_sets`` walks the inclusion chain NO ⊆ PSO ⊆ PO, PSO ⊆ CSD: PSO
 is tested only on PO members and CSD only outside PSO.
 
@@ -42,9 +44,9 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable, Sequence
 
-from .core import LexModel, Outcome, VariableSpace, iter_bits
-# consistent_with_comparisons stays importable here: perfbench/spans.py
-# hooks it as this module's comparison-test span.
+from .core import LexModel, Outcome, VariableSpace
+# consistent_from_encoding and consistent_with_comparisons stay importable
+# here only for perfbench/spans.py, which hooks both on this module.
 from .engine import (EncodedGamma, consistent_from_encoding,  # noqa: F401
                      consistent_with_comparisons)
 from .errors import InconsistentError
@@ -123,22 +125,38 @@ class OptimalSets:
         return self.pso
 
 
+def _ranked_groups(values: Sequence[tuple[int, ...]],
+                   stages: Sequence[tuple[int, Sequence[int]]],
+                   ) -> list[list[int]]:
+    """Positions of ``values`` in groups ranked by one model, best first.
+
+    Each of the model's ``(variable, best-first order)`` ``stages`` splits
+    every group, kept in increasing positions, by the ranks of the values
+    present (``order`` may be padded), until every group has one member.
+    """
+    groups = [list(range(len(values)))]
+    for x, order in stages:
+        if len(groups) == len(values):
+            break
+        refined = []
+        for group in groups:
+            if len(group) == 1:
+                refined.append(group)
+                continue
+            split: dict[int, list[int]] = {}
+            for p in group:
+                split.setdefault(values[p][x], []).append(p)
+            refined.extend(split[v] for v in sorted(split, key=order.index))
+        groups = refined
+    return groups
+
+
 def optimal_in_model(model: LexModel, alternatives: AlternativeSet,
                      ) -> frozenset[int]:
     """Indices of the alternatives no other alternative beats under the model."""
-    keys = [model.key(o) for o in alternatives]
-    best = min(keys)
-    return frozenset(i for i, k in enumerate(keys) if k == best)
-
-
-def _class_partition(vmask: int, alternatives: AlternativeSet,
-                     ) -> tuple[tuple[int, ...], ...]:
-    groups: dict[tuple[int, ...], list[int]] = {}
-    vars_idx = list(iter_bits(vmask))
-    for i, o in enumerate(alternatives.outcomes):
-        key = tuple(o.values[x] for x in vars_idx)
-        groups.setdefault(key, []).append(i)
-    return tuple(tuple(g) for g in groups.values())
+    stages = [(st.var, st.ranking) for st in model.stages]
+    return frozenset(_ranked_groups([o.values for o in alternatives],
+                                    stages)[0])
 
 
 def equivalence_classes(space: VariableSpace, gamma: Sequence[PrefStatement],
@@ -149,10 +167,7 @@ def equivalence_classes(space: VariableSpace, gamma: Sequence[PrefStatement],
     Alternatives in one class compare as equivalent under every model of the
     statement set.
     """
-    res = consistent_from_encoding(EncodedGamma(space, gamma))
-    if not res.consistent:
-        raise InconsistentError("statement set has no model")
-    return _class_partition(res.witness.vmask, alternatives)
+    return _MembershipRun(space, gamma, alternatives).eq_classes
 
 
 class _MembershipRun:
@@ -167,38 +182,31 @@ class _MembershipRun:
 
     def __init__(self, space: VariableSpace, gamma: Sequence[PrefStatement],
                  alternatives: AlternativeSet):
-        self.alternatives = alternatives
         self.enc = EncodedGamma(space, gamma)
-        res = consistent_from_encoding(self.enc)
-        if not res.consistent:
+        ok, nstages, stage_vars, orders, *_ = self.enc.run()
+        if ok != 1:
             raise InconsistentError("statement set has no model")
-        self.eq_classes = _class_partition(res.witness.vmask, alternatives)
+        stages = [(x, orders[x]) for x in stage_vars[:nstages]]
+        groups = _ranked_groups([o.values for o in alternatives], stages)
+        self.eq_classes = tuple(tuple(group) for group in sorted(groups))
         self.reps = [cls[0] for cls in self.eq_classes]
         self.rep_values = [alternatives[i].values for i in self.reps]
         self.top = 0
         self.sole_top = 0
         self.beats = [0] * len(self.reps)
-        self._record([res.witness.key(alternatives[i]) for i in self.reps])
+        self._record(_ranked_groups(self.rep_values, stages))
 
-    def _record(self, keys: list[tuple[int, ...]]) -> None:
-        """Add the certificates of a model given each rep's stage-wise key.
-
-        ``keys[p]`` ranks rep p's value at each stage of the model (0 best),
-        so reps compare as their keys do lexicographically.
-        """
-        groups: dict[tuple[int, ...], int] = {}    # key -> reps holding it
-        for p, key in enumerate(keys):
-            groups[key] = groups.get(key, 0) | 1 << p
+    def _record(self, groups: list[list[int]]) -> None:
+        """Add the certificates of a model from its ranked rep groups."""
         below = 0
-        for key in sorted(groups, reverse=True):   # worst group first
-            group = groups[key]
-            if below:
-                for p in iter_bits(group):
-                    self.beats[p] |= below
-            below |= group
-        self.top |= group                          # the best group
-        if group & (group - 1) == 0:
-            self.sole_top |= group
+        for group in reversed(groups):             # worst group first
+            mask = sum(1 << p for p in group)
+            for p in group:
+                self.beats[p] |= below
+            below |= mask
+        self.top |= mask                           # the best group
+        if len(group) == 1:
+            self.sole_top |= mask
 
     def _holds(self, left: list[tuple[int, ...]],
                right: list[tuple[int, ...]], strict: bool) -> bool:
@@ -210,9 +218,8 @@ class _MembershipRun:
             left, right, [strict] * len(left))
         if ok != 1:
             return False
-        stages = [(x, orders[x]) for x in stage_vars[:nstages]]
-        self._record([tuple([order.index(values[x]) for x, order in stages])
-                      for values in self.rep_values])
+        self._record(_ranked_groups(
+            self.rep_values, [(x, orders[x]) for x in stage_vars[:nstages]]))
         return True
 
     def _one_vs_rest(self, rep_pos: int, strict: bool) -> bool:
@@ -248,40 +255,35 @@ class _MembershipRun:
         return frozenset(i for p in rep_positions for i in self.eq_classes[p])
 
 
+def _member(test, space, gamma, alternatives, alpha) -> bool:
+    run = _MembershipRun(space, gamma, alternatives)
+    idx = alternatives.index_of(alpha)
+    return test(run, next(p for p, cls in enumerate(run.eq_classes)
+                          if idx in cls))
+
+
 def po_membership(space: VariableSpace, gamma: Sequence[PrefStatement],
                   alternatives: AlternativeSet, alpha: Outcome) -> bool:
     """Is there a model of the statement set making ``alpha`` optimal?"""
-    run = _MembershipRun(space, gamma, alternatives)
-    return run.po_rep(_rep_pos_of(run, alpha))
+    return _member(_MembershipRun.po_rep, space, gamma, alternatives, alpha)
 
 
 def pso_membership(space: VariableSpace, gamma: Sequence[PrefStatement],
                    alternatives: AlternativeSet, alpha: Outcome) -> bool:
     """Is ``alpha`` optimal in some model with only equivalents beside it?"""
-    run = _MembershipRun(space, gamma, alternatives)
-    return run.pso_rep(_rep_pos_of(run, alpha))
+    return _member(_MembershipRun.pso_rep, space, gamma, alternatives, alpha)
 
 
 def csd_membership(space: VariableSpace, gamma: Sequence[PrefStatement],
                    alternatives: AlternativeSet, alpha: Outcome) -> bool:
     """Is ``alpha`` undominated under the entailed strict relation?"""
-    run = _MembershipRun(space, gamma, alternatives)
-    return run.csd_rep(_rep_pos_of(run, alpha))
+    return _member(_MembershipRun.csd_rep, space, gamma, alternatives, alpha)
 
 
 def no_membership(space: VariableSpace, gamma: Sequence[PrefStatement],
                   alternatives: AlternativeSet, alpha: Outcome) -> bool:
     """Is ``alpha`` optimal in every model of the statement set?"""
-    run = _MembershipRun(space, gamma, alternatives)
-    return run.no_rep(_rep_pos_of(run, alpha))
-
-
-def _rep_pos_of(run: _MembershipRun, alpha: Outcome) -> int:
-    idx = run.alternatives.index_of(alpha)
-    for pos, cls in enumerate(run.eq_classes):
-        if idx in cls:
-            return pos
-    raise AssertionError("alternative missing from its own partition")
+    return _member(_MembershipRun.no_rep, space, gamma, alternatives, alpha)
 
 
 def compute_sets(space: VariableSpace, gamma: Sequence[PrefStatement],
@@ -313,9 +315,7 @@ def compute_sets_timed(space: VariableSpace, gamma: Sequence[PrefStatement],
     po = timed("po", run.po_rep, every)
     pso = timed("pso", run.pso_rep, po)
     csd = pso + timed("csd", run.csd_rep, [p for p in every if p not in pso])
-    start = perf_counter()
-    no = pso if len(pso) == 1 else []  # read off PSO: see the module docstring
-    timings["no"] = (perf_counter() - start) * 1000.0
+    no = timed("no", lambda p: len(pso) == 1, pso)  # see the module docstring
     sets = OptimalSets(po=run.expand(po), pso=run.expand(pso),
                        csd=run.expand(csd), no=run.expand(no),
                        eq_classes=run.eq_classes)

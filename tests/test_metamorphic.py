@@ -24,7 +24,9 @@ from lexpref.optimality import compute_sets
 from lexpref.rng import SplitMix64, derive_seed
 
 SEED = 20261018
-SIZES = [(10, 100), (50, 50), (100, 100), (100, 10)]   # (n, g), m = 100
+# (n, g), m = 100; (100, 10) has every alternative in PO, PSO and CSD,
+# (100, 150) has the same long runs and leaves most of them out
+SIZES = [(10, 100), (50, 50), (100, 100), (100, 10), (100, 150)]
 
 
 def _contradiction(gamma):
@@ -125,3 +127,11 @@ def test_variable_and_value_order_change_all_but_the_witness(case, rewrite):
     got = _answers(shuffled)
     assert {k: v for k, v in got.items() if k != "witness"} == {
         k: v for k, v in want.items() if k != "witness"}
+
+
+def test_a_long_run_cell_decides_real_answers():
+    # in (100, 150) the certificates decide real answers: PO, PSO and CSD
+    # are proper subsets of the alternatives, and CSD reaches beyond PSO
+    got = _answers(_instance_text(100, 150))
+    everyone = {f"a{i}" for i in range(100)}
+    assert got["pso"] == got["po"] < got["csd"] < everyone
