@@ -27,7 +27,8 @@ from .core import LexModel, Outcome, TotalValueOrder, VariableSpace, iter_bits
 from .errors import InconsistentError, UnsupportedQueryError
 from .kernel import EncodedGamma
 from .statements import (PrefStatement, StatementKind, inner_statement,
-                         negate_non_strict, outcome_comparison, satisfies)
+                         negate_non_strict, outcome_comparison, satisfies,
+                         statement_consistent)
 
 
 class FailureReason(Enum):
@@ -94,11 +95,11 @@ def consistent_from_encoding(enc: EncodedGamma,
                              verify: bool = False) -> ConsistencyResult:
     space = enc.space
     g = len(enc.statements)
-    if enc.inconsistent_indices:
-        failures = tuple(
-            StatementFailure(j, enc.statements[j],
-                             FailureReason.STATEMENT_UNSATISFIABLE)
-            for j in enc.inconsistent_indices)
+    # the individual-satisfiability screen: report each such statement alone
+    failures = tuple(
+        StatementFailure(j, st, FailureReason.STATEMENT_UNSATISFIABLE)
+        for j, st in enumerate(enc.statements) if not statement_consistent(st))
+    if failures:
         return ConsistencyResult(False, LexModel(space), failures, None, g)
     ok, nstages, stage_vars, orders, fail, _, tests = enc.run()
     witness = _model_from_arrays(space, nstages, stage_vars, orders)
@@ -129,13 +130,12 @@ def build_maximal_star_model(space: VariableSpace,
     Deterministic: at each step the first variable in declaration order
     admitting a valid extension is appended.
     """
-    enc = EncodedGamma(space, gamma)
-    if enc.inconsistent_indices:
-        bad = enc.statements[enc.inconsistent_indices[0]]
-        raise ValueError(
-            f"statement {bad.label or enc.inconsistent_indices[0]} is "
-            f"individually unsatisfiable")
-    return consistent_from_encoding(enc).witness
+    res = consistent(space, gamma, verify=False)
+    for failure in res.failures:
+        if failure.reason is FailureReason.STATEMENT_UNSATISFIABLE:
+            raise ValueError(
+                f"statement {failure.label} is individually unsatisfiable")
+    return res.witness
 
 
 def _complete_order(d: int, pair_list: list[tuple[int, int]],
@@ -235,25 +235,19 @@ def valid_extension(space: VariableSpace, gamma: Sequence[PrefStatement],
     return TotalValueOrder(space, x, tuple(order))
 
 
-def _comparison_arrays(rows: Sequence[tuple[Outcome, Outcome, bool]]):
-    """The kernel's ``xleft``, ``xright``, ``xstrict`` for ``rows``."""
-    return ([left.values for left, _, _ in rows],
-            [right.values for _, right, _ in rows],
-            [strict for _, _, strict in rows])
-
-
 def consistent_with_comparisons(enc: EncodedGamma,
-                                rows: Sequence[tuple[Outcome, Outcome, bool]],
-                                ) -> bool:
-    """Consistency of the encoded set plus extra outcome comparisons.
+                                pairs: Sequence[tuple[Outcome, Outcome]],
+                                strict: bool) -> bool:
+    """Consistency of the encoded set plus each pair's left outcome above
+    its right one, strictly when ``strict``, in one kernel run.
 
-    The fast path behind inference and optimality membership: the base
-    encoding is reused, only the comparison rows change per query.  An
-    individually unsatisfiable statement, or a strict row between equal
+    An individually unsatisfiable statement, or a strict pair of equal
     outcomes, is one the kernel never sees witnessed, so it fails the run.
+    The package itself runs rows through :meth:`EncodedGamma.run`; this
+    form serves the tests and perfbench's span hooks.
     """
-    ok, *_ = enc.run(*_comparison_arrays(rows))
-    return ok == 1
+    return enc.run([left.values for left, _ in pairs],
+                   [right.values for _, right in pairs], strict)[0] == 1
 
 
 def entails(space: VariableSpace, gamma: Sequence[PrefStatement], op: str,

@@ -40,16 +40,22 @@ Entry arrays:
 * ``nt_*``   negated statements with the variable in the residual block
   (appending it witnesses the negation, which ends its liveness)
 
-``kind`` holds each statement's :data:`_KIND_CODE`.  ``xleft``/``xright``/
-``xstrict`` carry extra complete-outcome comparisons appended to the base
-statement set; membership tests use them to avoid re-encoding per query.
+``kind`` holds each statement's :data:`_KIND_CODE`.  ``xleft``/``xright``
+carry extra complete-outcome comparison rows appended to the base statement
+set, all strict when ``strict`` (one strictness per run); membership tests
+use them to avoid re-encoding per query.  A row acts as an outcome
+comparison statement: it stays in one list of undecided rows until a
+variable on which its outcomes differ enters the model, and while there it
+requires its pair on every candidate.  A strict row still undecided at the
+end is never witnessed.
 
 Returns ``(ok, stage_count, stage_vars, orders, fail, xfail, tests)``,
 the middle four as lists (``orders[x]`` is variable x's ranking, padded
 with -1 to ``dmax``), where ``fail`` codes are 0 ok, 2 strictness never
 witnessed (both difference blocks), 3 strictness never witnessed (either
-block), 4 negation never witnessed, and ``tests`` counts elementary
-per-statement constraint evaluations.
+block), 4 negation never witnessed, ``xfail`` marks each undecided row of
+a strict run with 2, and ``tests`` counts elementary constraint
+evaluations per statement and per undecided row.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import VariableSpace
-from .statements import PrefStatement, StatementKind, statement_consistent
+from .statements import PrefStatement, StatementKind
 
 try:
     from numba import njit
@@ -87,15 +93,15 @@ def _greedy_impl(
     w_count,
     sw_ptr, sw_var,
     nt_ptr, nt_stmt,
-    xleft, xright, xstrict,
+    xleft, xright, strict,
 ):
     g = len(kind)
-    xk = len(xstrict)
+    xk = len(xleft)
 
     active = [True] * g      # live: both-difference block untouched,
                              # or for a negation, not yet witnessed
     touched = [False] * g    # some difference variable entered the model
-    xactive = [True] * xk
+    live = list(range(xk))   # rows equal on every variable in the model
     in_model = [False] * n
     wcount = [0] * n
     for x in range(n):
@@ -137,10 +143,8 @@ def _greedy_impl(
                 if not edge[a][b]:
                     edge[a][b] = True
                     indeg[b] += 1
-            for kx in range(xk):
+            for kx in live:
                 tests += 1
-                if not xactive[kx]:
-                    continue
                 a = xleft[kx][x]
                 b = xright[kx][x]
                 if a != b and not edge[a][b]:
@@ -218,9 +222,7 @@ def _greedy_impl(
                 touched[wo_stmt[e]] = True
             for e in range(nt_ptr[x], nt_ptr[x + 1]):
                 active[nt_stmt[e]] = False
-            for kx in range(xk):
-                if xactive[kx] and xleft[kx][x] != xright[kx][x]:
-                    xactive[kx] = False
+            live = [kx for kx in live if xleft[kx][x] == xright[kx][x]]
             appended = True
             break
         if not appended:
@@ -244,9 +246,9 @@ def _greedy_impl(
                 fail[j] = 4
                 ok_all = False
     xfail = [0] * xk
-    for kx in range(xk):
+    for kx in live:
         tests += 1
-        if xstrict[kx] and xactive[kx]:
+        if strict:
             xfail[kx] = 2
             ok_all = False
 
@@ -273,9 +275,6 @@ class EncodedGamma:
         self.statements = tuple(statements)
         n = space.n
         g = len(self.statements)
-        self.inconsistent_indices = tuple(
-            j for j, st in enumerate(self.statements)
-            if not statement_consistent(st))
 
         kind = np.zeros(g, np.int8)
         rs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
@@ -317,16 +316,15 @@ class EncodedGamma:
 
     def run(self, xleft: Sequence[Sequence[int]] = (),
             xright: Sequence[Sequence[int]] = (),
-            xstrict: Sequence[bool] = ()):
+            strict: bool = False):
         """One kernel run over the set plus comparison rows.
 
         Row k asks for an outcome with values ``xleft[k]`` above one with
-        values ``xright[k]``, strictly when ``xstrict[k]``.
+        values ``xright[k]``, every row strictly when ``strict``.
         """
         if HAS_NUMBA:
-            xleft, xright, xstrict = _as_arrays(self.space.n, xleft, xright,
-                                                xstrict)
-        return greedy(*self._args, xleft, xright, xstrict)
+            xleft, xright = _as_arrays(self.space.n, xleft, xright)
+        return greedy(*self._args, xleft, xright, strict)
 
 
 def _as_lists(args: tuple) -> tuple:
@@ -338,14 +336,13 @@ def _as_lists(args: tuple) -> tuple:
     return tuple(a.tolist() if isinstance(a, np.ndarray) else a for a in args)
 
 
-def _as_arrays(n: int, xleft, xright, xstrict) -> tuple:
+def _as_arrays(n: int, xleft, xright) -> tuple:
     """Comparison rows as the compiled kernel takes them: numpy arrays.
 
     numba would take lists as reflected lists, which it deprecates.
     """
     return (np.array(xleft, np.int16).reshape(len(xleft), n),
-            np.array(xright, np.int16).reshape(len(xright), n),
-            np.array(xstrict, np.bool_))
+            np.array(xright, np.int16).reshape(len(xright), n))
 
 
 def _csr(buckets, width: int) -> tuple:

@@ -214,8 +214,7 @@ class _MembershipRun:
 
         One kernel run; the model it returns, if any, is recorded.
         """
-        ok, nstages, stage_vars, orders, *_ = self.enc.run(
-            left, right, [strict] * len(left))
+        ok, nstages, stage_vars, orders, *_ = self.enc.run(left, right, strict)
         if ok != 1:
             return False
         self._record(_ranked_groups(

@@ -18,7 +18,7 @@ from lexpref import (FailureReason, GenConfig, InconsistentError, LexModel,
                      outcome_comparison, satisfies, satisfies_star,
                      statement_consistent, v_gamma, valid_extension)
 from lexpref import kernel
-from lexpref.engine import EncodedGamma, _comparison_arrays
+from lexpref.engine import EncodedGamma
 from lexpref.rng import SplitMix64
 
 SP = FLIGHT_SPACE
@@ -283,22 +283,23 @@ class TestConsistent:
 
     def test_backends_agree_exactly(self):
         # the compiled kernel against its own source run as plain Python,
-        # with and without an extra comparison row
+        # with and without an extra comparison row, each way strict
         if not kernel.HAS_NUMBA:
             pytest.skip("numba unavailable")
         rng = SplitMix64(201)
         for _ in range(200):
             space = small_space(rng)
             enc = EncodedGamma(space, random_gamma(rng, space))
-            row = (random_outcome(rng, space), random_outcome(rng, space),
-                   rng.randrange(2) == 1)
-            for rows in (((), (), ()), _comparison_arrays([row])):
+            row = ([random_outcome(rng, space).values],
+                   [random_outcome(rng, space).values])
+            for rows in (((), ()), row):
                 extras = kernel._as_arrays(space.n, *rows)
-                compiled = kernel.greedy(*enc._args, *extras)
-                source = kernel._greedy_impl(*enc._args, *extras)
-                assert len(compiled) == len(source)
-                for got, want in zip(compiled, source):
-                    np.testing.assert_array_equal(got, want)
+                for strict in (False, True):
+                    compiled = kernel.greedy(*enc._args, *extras, strict)
+                    source = kernel._greedy_impl(*enc._args, *extras, strict)
+                    assert len(compiled) == len(source)
+                    for got, want in zip(compiled, source):
+                        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("max_vars, max_domain, max_statements",
                              [(5, 4, 6), (4, 9, 12)])

@@ -1,15 +1,18 @@
-"""Backend selection, argument forms, unsatisfiable rows and the kernel on
-wider domains."""
+"""Backend selection, argument forms, comparison rows against statements,
+unsatisfiable rows and the kernel on wider domains."""
+
+import pytest
 
 from helpers import (random_gamma, random_outcome, random_statement,
                      reference_encoding, small_space)
-from lexpref import (StatementKind, VariableSpace, brute_consistent,
-                     canonicalize, consistent, negate_non_strict, satisfies,
-                     statement_consistent)
+from lexpref import (GenConfig, StatementKind, VariableSpace,
+                     brute_consistent, canonicalize, consistent,
+                     gen_instance, negate_non_strict, outcome_comparison,
+                     satisfies, statement_consistent)
 from lexpref import kernel
-from lexpref.engine import _comparison_arrays, consistent_with_comparisons
+from lexpref.engine import consistent_with_comparisons
 from lexpref.kernel import HAS_NUMBA, EncodedGamma, backend_name
-from lexpref.rng import SplitMix64
+from lexpref.rng import SplitMix64, derive_seed
 
 
 class TestBackendSelection:
@@ -36,25 +39,93 @@ class TestArgumentForms:
     def test_arrays_and_lists_run_alike(self):
         # one kernel source over the numpy arrays the compiled kernel takes
         # and over the lists the interpreter runs, on the instances of
-        # test_backends_agree_exactly, with and without a comparison row;
-        # a 2-D subscript or a list-only method breaks one of the two
+        # test_backends_agree_exactly, with and without a comparison row,
+        # each way strict; a 2-D subscript or a list-only method breaks one
+        # of the two
         rng = SplitMix64(201)
         for _ in range(200):
             space = small_space(rng)
             arrays = reference_encoding(space, random_gamma(rng, space))
             lists = kernel._as_lists(arrays)
-            row = (random_outcome(rng, space), random_outcome(rng, space),
-                   rng.randrange(2) == 1)
-            for rows in (((), (), ()), _comparison_arrays([row])):
-                from_arrays = kernel._greedy_impl(
-                    *arrays, *kernel._as_arrays(space.n, *rows))
-                from_lists = kernel._greedy_impl(*lists, *rows)
-                assert from_arrays == from_lists
+            row = ([random_outcome(rng, space).values],
+                   [random_outcome(rng, space).values])
+            for rows in (((), ()), row):
+                for strict in (False, True):
+                    from_arrays = kernel._greedy_impl(
+                        *arrays, *kernel._as_arrays(space.n, *rows), strict)
+                    from_lists = kernel._greedy_impl(*lists, *rows, strict)
+                    assert from_arrays == from_lists
+
+
+def _pairs_of(alts, rng, count):
+    """One-vs-rest pairs of ``count`` alternatives, one more pair each
+    against a seeded competitor, and one alternative against itself."""
+    out = []
+    for _ in range(count):
+        i = rng.randrange(len(alts))
+        out.append([(alts[i], o) for o in alts if o is not alts[i]])
+        out.append([(alts[i], alts[rng.randrange(len(alts))])])
+        out.append([(alts[i], alts[i])])
+    return out
+
+
+# the optimal-desk grid (m=20) and three criterion-4 cells (m=100), with
+# the number of alternatives whose rows each cell checks
+ROW_CELLS = [(n, g, 20, 5) for n in (10, 20) for g in (10, 50, 100)] + [
+    (n, g, 100, 4) for n, g in ((10, 100), (50, 50), (100, 10))]
+
+
+class TestRowsAreStatements:
+    # a comparison row must act exactly as its outcome_comparison statement
+    # appended to the set; the reference run goes through the statement
+    # tables only, never through the row code
+
+    @staticmethod
+    def assert_rows_are_statements(space, gamma, pairs):
+        enc = EncodedGamma(space, gamma)
+        g = len(enc.statements)
+        for strict in (False, True):
+            ok, nstages, stage_vars, orders, fail, xfail, _ = enc.run(
+                [left.values for left, _ in pairs],
+                [right.values for _, right in pairs], strict)
+            want = EncodedGamma(space, list(gamma) + [
+                outcome_comparison(space, left, right, strict)
+                for left, right in pairs]).run()
+            assert (ok, nstages, list(stage_vars),
+                    [list(order) for order in orders]) == (
+                want[0], want[1], list(want[2]),
+                [list(order) for order in want[3]])
+            assert list(fail) == list(want[4][:g])
+            # an undecided strict row is its statement never witnessed
+            assert [c != 0 for c in xfail] == [c != 0 for c in want[4][g:]]
+
+    def test_random_small_sets(self):
+        # oracle-scale sets, inconsistent ones too, with up to four rows,
+        # a third of them between equal outcomes
+        rng = SplitMix64(401)
+        for _ in range(300):
+            space = small_space(rng)
+            gamma = random_gamma(rng, space)
+            pairs = []
+            for _ in range(rng.randrange(5)):
+                left = random_outcome(rng, space)
+                right = (left if rng.randrange(3) == 0
+                         else random_outcome(rng, space))
+                pairs.append((left, right))
+            self.assert_rows_are_statements(space, gamma, pairs)
+
+    @pytest.mark.parametrize("n, g, m, count", ROW_CELLS)
+    def test_generated_instances(self, n, g, m, count):
+        gen = gen_instance(GenConfig(n=n, g=g, m=m,
+                                     seed=derive_seed(20260808, n, g, 0)))
+        rng = SplitMix64(derive_seed(409, n, g))
+        for pairs in _pairs_of(gen.alternatives, rng, count):
+            self.assert_rows_are_statements(gen.space, gen.gamma, pairs)
 
 
 class TestKernelRejectsUnsatisfiableRows:
-    # consistent_with_comparisons screens nothing before the kernel runs,
-    # so the kernel alone must reject each of these
+    # neither EncodedGamma nor consistent_with_comparisons screens anything
+    # before the kernel runs, so the kernel alone must reject each of these
 
     SPACE = VariableSpace(["x", "y"], {"x": ["a", "b"], "y": ["c", "d"]})
 
@@ -80,7 +151,7 @@ class TestKernelRejectsUnsatisfiableRows:
             enc = EncodedGamma(self.SPACE, [st])
             ok, _, _, _, fail, _, _ = enc.run()
             assert (ok, list(fail)) == (0, [code])
-            assert not consistent_with_comparisons(enc, [])
+            assert not consistent_with_comparisons(enc, [], False)
 
     def test_unsatisfiable_statement_fails_among_others(self):
         rng = SplitMix64(307)
@@ -102,9 +173,9 @@ class TestKernelRejectsUnsatisfiableRows:
             space = small_space(rng)
             enc = EncodedGamma(space, random_gamma(rng, space))
             o = random_outcome(rng, space)
-            ok, _, _, _, _, xfail, _ = enc.run([o.values], [o.values], [True])
+            ok, _, _, _, _, xfail, _ = enc.run([o.values], [o.values], True)
             assert (ok, list(xfail)) == (0, [2])
-            assert not consistent_with_comparisons(enc, [(o, o, True)])
+            assert not consistent_with_comparisons(enc, [(o, o)], True)
 
 
 class TestWiderDomains:

@@ -12,12 +12,18 @@ statements:
   these but the witness: the greedy then meets variables and values in
   another order and builds another maximal model, over the same variables
   (every maximal model has the same variable set).
+
+The same instances, and criterion 5's (n=200, g=1000) one, also replay the
+kernel's witness through :func:`lexpref.engine.valid_extension`, the
+independent reference: each stage is the extension of the prefix before
+it, and no variable outside the witness extends it.
 """
 
 import pytest
 
-from lexpref import GenConfig, Instance, format_instance, gen_instance
-from lexpref.engine import consistent, negation_of
+from lexpref import (GenConfig, Instance, LexModel, format_instance,
+                     gen_instance)
+from lexpref.engine import consistent, negation_of, valid_extension
 from lexpref.errors import UnsupportedQueryError
 from lexpref.instance import format_statement, parse_instance
 from lexpref.optimality import compute_sets
@@ -135,3 +141,28 @@ def test_a_long_run_cell_decides_real_answers():
     got = _answers(_instance_text(100, 150))
     everyone = {f"a{i}" for i in range(100)}
     assert got["pso"] == got["po"] < got["csd"] < everyone
+
+
+def _assert_replays(space, gamma):
+    """The witness replayed stage by stage, then checked for maximality."""
+    witness = consistent(space, gamma, verify=False).witness
+    prefix = LexModel(space)
+    for stage in witness.stages:
+        assert valid_extension(space, gamma, prefix, stage.variable) == stage
+        prefix = LexModel(space, prefix.stages + (stage,))
+    outside = [x for x in space.variables if x not in witness.variables]
+    assert [valid_extension(space, gamma, witness, x) for x in outside] == [
+        None] * len(outside)
+
+
+def test_witness_replays_and_is_maximal(case):
+    text, _ = case
+    instance = parse_instance(text)
+    _assert_replays(instance.space, instance.statements)
+
+
+def test_criterion_5_witness_replays_and_is_maximal():
+    # the first instance of tests/test_acceptance.py's criterion 5
+    gen = gen_instance(GenConfig(n=200, g=1000, m=1,
+                                 seed=derive_seed(20260808, 5, 0)))
+    _assert_replays(gen.space, gen.gamma)

@@ -209,15 +209,17 @@ class PlainTests:
         self.eq_classes = equivalence_classes(space, gamma, alts)
         self.reps = [alts[cls[0]] for cls in self.eq_classes]
 
-    def holds(self, rows) -> bool:
-        return not rows or consistent_with_comparisons(self.enc, rows)
+    def holds(self, pairs, strict) -> bool:
+        return not pairs or consistent_with_comparisons(self.enc, pairs,
+                                                        strict)
 
     def above_rest(self, p, strict) -> bool:
-        return self.holds([(self.reps[p], other, strict)
-                           for q, other in enumerate(self.reps) if q != p])
+        return self.holds([(self.reps[p], other)
+                           for q, other in enumerate(self.reps) if q != p],
+                          strict)
 
     def beats(self, p, q) -> bool:
-        return self.holds([(self.reps[p], self.reps[q], True)])
+        return self.holds([(self.reps[p], self.reps[q])], strict=True)
 
     def member(self, name, p) -> bool:
         others = [q for q in range(len(self.reps)) if q != p]
@@ -348,21 +350,25 @@ class TestCertificates:
             for model in models:
                 assert all(satisfies(model, st) for st in gamma)
             reps = [alts[i] for i in run.reps]
-            rep_set = AlternativeSet(space, reps)
+            # each model's strict relation on the reps, read by lex_compare
+            # alone: p is top when no rep is better than p
+            better = [[[lex_compare(model, a, b) is Cmp.BETTER for b in reps]
+                       for a in reps] for model in models]
             # exactly the maximal model's certificates before any test, and
             # exactly every model's after them all
             for (top_mask, sole_mask, beats), seen in (
-                    (seeded, models[:1]),
-                    ((run.top, run.sole_top, run.beats), models)):
-                tops = [optimal_in_model(model, rep_set) for model in seen]
+                    (seeded, better[:1]),
+                    ((run.top, run.sole_top, run.beats), better)):
+                tops = [{p for p in range(k)
+                         if not any(rel[q][p] for q in range(k))}
+                        for rel in seen]
                 assert [bool(top_mask >> p & 1) for p in range(k)] == [
                     any(p in top for top in tops) for p in range(k)]
                 assert [bool(sole_mask >> p & 1) for p in range(k)] == [
                     any(top == {p} for top in tops) for p in range(k)]
                 assert [[bool(beats[p] >> q & 1) for q in range(k)]
                         for p in range(k)] == [
-                    [any(lex_compare(model, reps[p], reps[q]) is Cmp.BETTER
-                         for model in seen) for q in range(k)]
+                    [any(rel[p][q] for rel in seen) for q in range(k)]
                     for p in range(k)]
             # each certificate answers what a plain kernel run answers
             plain = PlainTests(space, gamma, alts)
