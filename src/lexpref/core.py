@@ -36,6 +36,14 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def index_mask(indices: Iterable[int]) -> int:
+    """The mask with the bits at ``indices`` set; undoes :func:`iter_bits`."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
 class VariableSpace:
     """An ordered set of named variables, each with an ordered finite domain.
 
@@ -108,10 +116,10 @@ class VariableSpace:
         return len(self.domains[var])
 
     def mask_of(self, names: Iterable[str]) -> int:
-        mask = 0
-        for name in names:
-            mask |= 1 << self.var_index(name)
-        return mask
+        try:
+            return index_mask(map(self._var_index.__getitem__, names))
+        except KeyError as exc:
+            raise ValueError(f"unknown variable {exc.args[0]!r}") from None
 
     def names_of(self, mask: int) -> frozenset[str]:
         return frozenset(self.variables[i] for i in iter_bits(mask))

@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import Outcome, PartialAssignment, VariableSpace
+from .core import Outcome, PartialAssignment, VariableSpace, index_mask
 from .errors import ParseError
 from .optimality import AlternativeSet
 from .statements import (PrefStatement, StatementKind, canonicalize,
@@ -89,6 +89,60 @@ def _assignment(text: str) -> dict[str, str]:
     return out
 
 
+def _item_table(space: VariableSpace) -> dict[str, tuple[int, int]]:
+    """Each ``VAR=val`` text to its ``(variable, value)`` indices.
+
+    Only texts that :func:`_assignment` reads back as that one pair get an
+    entry: a name with a comma or surrounding blanks, or a variable with an
+    ``=``, would be split elsewhere (variable ``a`` with value ``b=c`` and
+    variable ``a=b`` with value ``c`` both spell ``a=b=c``).  Built once per
+    parse; kept off the space, which outlives the parse.
+    """
+    table: dict[str, tuple[int, int]] = {}
+    for i, (var, domain) in enumerate(zip(space.variables, space.domains)):
+        if not var or var != var.strip() or "=" in var or "," in var:
+            continue
+        for j, val in enumerate(domain):
+            if val and val == val.strip() and "," not in val:
+                table[f"{var}={val}"] = (i, j)
+    return table
+
+
+def _lookup(items: dict[str, tuple[int, int]],
+            text: str) -> dict[int, int] | None:
+    """A ``VAR=val, ...`` list as value indices by variable index, one
+    table lookup per item; ``None`` when an item misses the table or a
+    variable repeats.
+
+    The callers then read ``text`` with :func:`_assignment`, which gives
+    the same result when the list is valid and every error message when
+    it is not.
+    """
+    try:
+        vals = dict(map(items.__getitem__, map(str.strip, text.split(","))))
+    except KeyError:
+        return None
+    return vals if len(vals) == text.count(",") + 1 else None
+
+
+def _side(space: VariableSpace, items: dict[str, tuple[int, int]],
+          text: str) -> PartialAssignment:
+    """A bracketed side of a statement."""
+    vals = _lookup(items, text)
+    if vals is None:
+        return space.partial(_assignment(text))
+    return PartialAssignment._trusted(space, vals, index_mask(vals))
+
+
+def _outcome_line(space: VariableSpace, items: dict[str, tuple[int, int]],
+                  text: str) -> Outcome:
+    """The assignment of an ``outcome`` line, which names every variable."""
+    vals = _lookup(items, text)
+    if vals is None or len(vals) != space.n:
+        return space.outcome(_assignment(text))
+    return Outcome(space, tuple(map(vals.__getitem__, range(space.n))))
+
+
 def _outcome(outcomes: dict[str, Outcome], name: str) -> Outcome:
     try:
         return outcomes[name]
@@ -116,10 +170,14 @@ def _shape(text: str, offset: int, query: bool) -> re.Match:
 
 
 def _statement(match: re.Match, space: VariableSpace,
+               items: dict[str, tuple[int, int]],
                outcomes: dict[str, Outcome], label: str) -> PrefStatement:
-    """The statement a ``_shape`` match spells; errors are ``ValueError``."""
+    """The statement a ``_shape`` match spells; errors are ``ValueError``.
+
+    ``items`` is the space's :func:`_item_table`.
+    """
     if match.re is _STMT_RE:
-        p, q = (space.partial(_assignment(match[side])) for side in "pq")
+        p, q = (_side(space, items, match[side]) for side in "pq")
         held = match["t"] or ""
         t_vars = [v.strip() for v in held.split(",")] if held.strip() else []
         negated = match["neg"] is not None
@@ -136,6 +194,7 @@ def parse_instance(text: str) -> Instance:
     var_names: list[str] = []
     var_domains: dict[str, list[str]] = {}
     space: VariableSpace | None = None
+    items: dict[str, tuple[int, int]] = {}     # _item_table(space)
     outcomes: dict[str, Outcome] = {}
     statements: list[PrefStatement] = []
     stmt_names: set[str] = set()
@@ -176,6 +235,7 @@ def parse_instance(text: str) -> Instance:
             if not var_names:
                 raise ParseError("no variables declared yet", lineno)
             space = VariableSpace(var_names, var_domains)
+            items = _item_table(space)
 
         if keyword == "outcome":
             if len(head_parts) != 2 or not _NAME_RE.match(head_parts[1]):
@@ -185,7 +245,7 @@ def parse_instance(text: str) -> Instance:
             if name in outcomes:
                 raise ParseError(f"outcome {name!r} declared twice", lineno)
             try:
-                outcomes[name] = space.outcome(_assignment(rest))
+                outcomes[name] = _outcome_line(space, items, rest)
             except ValueError as exc:
                 raise ParseError(f"outcome {name}: {exc}", lineno) from None
             continue
@@ -200,7 +260,8 @@ def parse_instance(text: str) -> Instance:
             offset = len(raw) - len(raw.lstrip()) + len(head) + 1
             try:
                 statements.append(_statement(
-                    _shape(rest, offset, query=False), space, outcomes, name))
+                    _shape(rest, offset, query=False), space, items,
+                    outcomes, name))
             except ValueError as exc:
                 raise ParseError(f"statement {name}: {exc}", lineno) from None
             stmt_names.add(name)
@@ -237,7 +298,8 @@ def parse_query(instance: Instance, text: str):
     try:
         match = _shape(text, 0, query=True)
         if match.re is _STMT_RE:
-            return ("stmt", _statement(match, instance.space,
+            space = instance.space
+            return ("stmt", _statement(match, space, _item_table(space),
                                        instance.outcomes, "query"))
         left, right = (_outcome(instance.outcomes, match[side])
                        for side in ("left", "right"))

@@ -25,11 +25,11 @@ asks whether some extension of the model satisfies the statement.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import product
+from itertools import filterfalse, product
 from typing import Iterable, NamedTuple
 
 from .core import (LexModel, Outcome, PartialAssignment, VariableSpace,
-                   iter_bits)
+                   index_mask, iter_bits)
 from .errors import CapExceededError
 
 PAIRS_CAP_DEFAULT = 10_000
@@ -128,8 +128,9 @@ def canonicalize(space: VariableSpace, p: PartialAssignment,
 
     Variables assigned the same value on both sides move to the agreement
     block; one-value variables are silently moved into the held set.  The
-    held set must not overlap either side.  The blocks are split off in one
-    pass and built unchecked from the indices ``p`` and ``q`` already hold.
+    held set must not overlap either side.  The blocks keep the order of
+    the side they come from and are built unchecked from the indices ``p``
+    and ``q`` already hold.
     """
     if any(side.space is not space and side.space != space for side in (p, q)):
         raise ValueError("sides built over a different space")
@@ -137,25 +138,22 @@ def canonicalize(space: VariableSpace, p: PartialAssignment,
     if t_mask & (p.mask | q.mask):
         overlap = space.names_of(t_mask & (p.mask | q.mask))
         raise ValueError(f"held-constant set overlaps the sides: {sorted(overlap)}")
+    p_items, q_items = p.vals.items(), q.vals.items()
+    u = dict(filter(q_items.__contains__, p_items))
+    r = dict(filterfalse(q_items.__contains__, p_items))
+    s = dict(filterfalse(p_items.__contains__, q_items))
     sing = space.singleton_mask
-    qvals = q.vals
-    u: dict[int, int] = {}
-    r: dict[int, int] = {}
-    u_mask = 0
-    for i, v in p.vals.items():
-        if sing >> i & 1:
-            continue
-        if qvals.get(i) == v:
-            u[i] = v
-            u_mask |= 1 << i
-        else:
-            r[i] = v
-    keep = ~(sing | u_mask)
-    s = {i: v for i, v in qvals.items() if keep >> i & 1}
+    for i in iter_bits(sing & (p.mask | q.mask)):   # held, never a block
+        u.pop(i, None)
+        r.pop(i, None)
+        s.pop(i, None)
+    r_mask = index_mask(r)
+    u_mask = p.mask & ~(sing | r_mask)
     return PrefStatement(space, kind,
                          u=PartialAssignment._trusted(space, u, u_mask),
-                         r=PartialAssignment._trusted(space, r, p.mask & keep),
-                         s=PartialAssignment._trusted(space, s, q.mask & keep),
+                         r=PartialAssignment._trusted(space, r, r_mask),
+                         s=PartialAssignment._trusted(
+                             space, s, q.mask & ~(sing | u_mask)),
                          t_mask=(t_mask | sing) & space.full_mask, label=label)
 
 

@@ -1,11 +1,15 @@
 """Instance file parsing, serialization and query parsing."""
 
+import re
+
 import pytest
 
 from lexpref import (GenConfig, Instance, ParseError, PartialAssignment,
-                     StatementKind, canonicalize, consistent, entails,
-                     format_instance, gen_instance, negate_non_strict,
+                     StatementKind, VariableSpace, canonicalize, consistent,
+                     entails, format_instance, gen_instance, negate_non_strict,
                      parse_instance, parse_query)
+from lexpref.instance import _assignment, _item_table, _outcome_line, _side
+from lexpref.rng import SplitMix64
 
 FLIGHT_FILE = """\
 # flight booking example
@@ -129,6 +133,11 @@ stmt s5: [] >= [x=a]
         assert (kind, op) == ("cmp", ">")
         assert left is inst.outcomes["not"]
 
+    def test_repeated_held_variable_is_held_once(self):
+        inst = parse_instance("var x: a, b\nvar y: c, d\n"
+                              "stmt s: [x=a] >= [x=b] || {y, y}\n")
+        assert inst.statements[0].t_mask == 1 << inst.space.var_index("y")
+
     def test_negated_statement_round_trips(self):
         text = ("var x: a, b\nvar y: c, d\n"
                 "stmt s1: not ([x=a] >= [x=b] || {y})\n")
@@ -183,6 +192,11 @@ class TestParseErrors:
          "held set opened at column 27 lacks its closing '}'"),
         ("var x: a, b\noutcome o: x=a\noutcome p: x=b\nstmt s: o == p\n",
          "line 4: statement s: expected"),
+        # held names are stripped one by one, so an empty item is a name too
+        ("var x: a, b\nvar y: c, d\nstmt s: [x=a] >= [x=b] || {zz}\n",
+         "line 3: statement s: unknown variable 'zz'"),
+        ("var x: a, b\nvar y: c, d\nstmt s: [x=a] >= [x=b] || {y, }\n",
+         "line 3: statement s: unknown variable ''"),
     ])
     def test_positioned_errors(self, text, fragment):
         with pytest.raises(ParseError) as err:
@@ -239,3 +253,125 @@ class TestQueries:
         for text in ("a <> b", "a > nosuch", "a > b extra", "a >"):
             with pytest.raises(ParseError):
                 parse_query(inst, text)
+
+
+# Variables whose names _assignment cannot read back as themselves: 'a=b'
+# holds an '=', ' p' a blank, 'q,r' a comma, '' is empty; 'a' has a value
+# with an '='.  "a=b=c" reads as variable 'a', value 'b=c', never as 'a=b'
+# and 'c'.
+AWKWARD = VariableSpace(["a", "a=b", " p", "q,r", "", "u"],
+                        {"a": ["b=c", "d"], "a=b": ["c", "e"],
+                         " p": ["v", "w"], "q,r": ["v", "w"], "": ["k"],
+                         "u": ["on", " off", "x,y", ""]})
+
+
+def _items_text(rng, space, full):
+    """A ``VAR=val`` list over ``space``, often malformed on purpose."""
+    if full:
+        order = list(range(space.n))
+        rng.shuffle(order)
+    else:
+        order = [rng.randrange(space.n) for _ in range(rng.randrange(5))]
+    items = []
+    for i in order:
+        var, val = space.variables[i], space.domains[i][
+            rng.randrange(len(space.domains[i]))]
+        roll = rng.randrange(40)
+        if roll == 0:
+            var = "zz"
+        elif roll == 1:
+            val = "nope"
+        elif roll == 2:
+            items.append("")
+        elif roll == 3:
+            var, val = var + " ", " " + val
+        elif roll == 4:
+            var, val = "\t" + var, val + "\t"
+        elif roll == 5:
+            items.append(var)
+            continue
+        items.append(f"{var}={val}")
+    text = (", " if rng.coin() else ",").join(items)
+    return text + "," if rng.randrange(10) == 0 else text
+
+
+def _mask_by_name(space, names):
+    mask = 0
+    for name in names:
+        mask |= 1 << space.var_index(name)
+    return mask
+
+
+def _result(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+class TestItemTable:
+    """The table lookups against the readers they stand in for."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lookups_match_the_full_readers(self, seed):
+        if seed == 0:
+            space = AWKWARD
+        else:
+            space = gen_instance(GenConfig(n=2 + seed, g=1, m=1, seed=seed,
+                                           domain_min=1, domain_max=3)).space
+        items = _item_table(space)
+        rng = SplitMix64(seed)
+        sides, errors = [], 0
+        for _ in range(400):
+            text = _items_text(rng, space, full=False)
+            got = _result(_side, space, items, text)
+            want = _result(lambda t: space.partial(_assignment(t)), text)
+            assert got[0] == want[0], text
+            if got[0] == "error":
+                assert got == want, text
+                errors += 1
+                continue
+            assert got[1] == want[1], text
+            assert list(got[1].vals.items()) == list(want[1].vals.items())
+            assert got[1].mask == want[1].mask
+            sides.append(got[1])
+
+            full = _items_text(rng, space, full=True)
+            for line in (text, full):
+                assert _result(_outcome_line, space, items, line) == _result(
+                    lambda t: space.outcome(_assignment(t)), line), line
+
+            for held in (re.sub("=[^,]*", "", text),
+                         re.sub("=[^,]*", "", full)):
+                names = [v.strip() for v in held.split(",")]
+                assert _result(space.mask_of, names) == _result(
+                    _mask_by_name, space, names), held
+        assert len(sides) > 50 and errors > 50
+
+        # canonicalize against its definition: one-value variables go to
+        # the held set, each block keeps the order of its side
+        multi = [len(d) > 1 for d in space.domains]
+        for p, q in zip(sides, sides[1:]):
+            st = canonicalize(space, p, q, 0, StatementKind.NON_STRICT)
+            u = {i: v for i, v in p.vals.items()
+                 if multi[i] and q.vals.get(i) == v}
+            r = {i: v for i, v in p.vals.items() if multi[i] and i not in u}
+            s = {i: v for i, v in q.vals.items() if multi[i] and i not in u}
+            for got, want in ((st.u, u), (st.r, r), (st.s, s)):
+                assert list(got.vals.items()) == list(want.items())
+                assert got.mask == sum(1 << i for i in want)
+            assert st.t_mask == space.singleton_mask
+
+    def test_query_reads_names_as_the_full_reader_does(self):
+        inst = Instance(space=AWKWARD, outcomes={}, statements=(),
+                        alt_names=())
+        for p, q in (("a=b=c", "a=d"), ("a=b=c, u=on", "a=d"),
+                     ("a = b=c", "a=d"), (" u=on ", "a=d")):
+            _, st = parse_query(inst, f"[{p}] >= [{q}]")
+            want = canonicalize(AWKWARD, AWKWARD.partial(_assignment(p)),
+                                AWKWARD.partial(_assignment(q)), 0,
+                                StatementKind.NON_STRICT, label="query")
+            assert (st.u, st.r, st.s) == (want.u, want.r, want.s)
+        _, st = parse_query(inst, "[a=b=c] >= []")
+        assert st.r.as_dict() == {"a": "b=c"}
+
