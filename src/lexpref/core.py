@@ -220,11 +220,13 @@ class PartialAssignment:
     __slots__ = ("space", "vals", "mask")
 
     def __init__(self, space: VariableSpace, vals: Mapping[int, int]):
+        domains = space.domains
+        n = len(domains)
         mask = 0
         for i, v in vals.items():
-            if not 0 <= i < space.n:
+            if not 0 <= i < n:
                 raise ValueError(f"variable index {i} out of range")
-            if not 0 <= v < space.domain_size(i):
+            if not 0 <= v < len(domains[i]):
                 raise ValueError(f"value index {v} out of range for "
                                  f"variable {space.variables[i]!r}")
             mask |= 1 << i

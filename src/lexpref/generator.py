@@ -29,6 +29,7 @@ configuration: identical configurations give bit-identical instances.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .core import (LexModel, Outcome, PartialAssignment, TotalValueOrder,
@@ -132,6 +133,7 @@ def _draw_statement(rng: SplitMix64, space: VariableSpace, hidden: LexModel,
     pivot = stage_order[c]
     ranking = hidden.stages[c].ranking
 
+    domains = space.domains
     held = 0
     agree: dict[int, int] = {}
     for pos in range(c):
@@ -139,7 +141,7 @@ def _draw_statement(rng: SplitMix64, space: VariableSpace, hidden: LexModel,
         if rng.coin():
             held |= 1 << x
         else:
-            agree[x] = rng.randrange(space.domain_size(x))
+            agree[x] = rng.randrange(len(domains[x]))
 
     d = len(ranking)
     hi = rng.randrange(d - 1)
@@ -149,8 +151,7 @@ def _draw_statement(rng: SplitMix64, space: VariableSpace, hidden: LexModel,
     else:
         r_pivot, s_pivot = ranking[hi], ranking[lo]
 
-    later = [pos for pos in range(c + 1, len(stage_order))
-             if space.domain_size(stage_order[pos]) >= 2]
+    later = rankable[bisect_right(rankable, c):]
     rng.shuffle(later)
     cursor = 0
 
@@ -158,7 +159,7 @@ def _draw_statement(rng: SplitMix64, space: VariableSpace, hidden: LexModel,
     for _ in range(min(rng.geometric(), len(later) - cursor)):
         x = stage_order[later[cursor]]
         cursor += 1
-        dx = space.domain_size(x)
+        dx = len(domains[x])
         rv = rng.randrange(dx)
         sv = (rv + 1 + rng.randrange(dx - 1)) % dx
         shared[x] = (rv, sv)

@@ -32,7 +32,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import Outcome, PartialAssignment, VariableSpace, index_mask
+from .core import (Outcome, PartialAssignment, VariableSpace, index_mask,
+                   iter_bits)
 from .errors import ParseError
 from .optimality import AlternativeSet
 from .statements import (PrefStatement, StatementKind, canonicalize,
@@ -319,7 +320,7 @@ def format_statement(st: PrefStatement) -> str:
     space = st.space
     left = _format_side(space, {**st.u.vals, **st.r.vals})
     right = _format_side(space, {**st.u.vals, **st.s.vals})
-    held = ", ".join(sorted(st.t_vars, key=space.var_index))
+    held = ", ".join(map(space.variables.__getitem__, iter_bits(st.t_mask)))
     if st.kind is StatementKind.NEGATED_NON_STRICT:
         return f"not ({left} >= {right} || {{{held}}})"
     op = {StatementKind.NON_STRICT: ">=",
@@ -337,8 +338,9 @@ def format_instance(instance: Instance, header: str | None = None) -> str:
     for i, var in enumerate(space.variables):
         lines.append(f"var {var}: " + ", ".join(space.domains[i]))
     for name, outcome in instance.outcomes.items():
-        assign = ", ".join(f"{v}={outcome.value_name(v)}"
-                           for v in space.variables)
+        assign = ", ".join(f"{v}={dom[j]}" for v, dom, j
+                           in zip(space.variables, space.domains,
+                                  outcome.values))
         lines.append(f"outcome {name}: {assign}")
     for i, st in enumerate(instance.statements):
         name = st.label or f"s{i}"

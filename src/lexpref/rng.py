@@ -12,16 +12,38 @@ State transition (all arithmetic mod 2**64)::
     z      = (z ^ (z >> 27)) * 0x94D049BB133111EB
     output = z ^ (z >> 31)
 
+The state after ``k`` steps is ``seed + k * 0x9E3779B97F4A7C15``, so word
+``k`` (counting from 1) is the mix of that sum alone and depends on no
+earlier word.  :class:`SplitMix64` uses this to compute its words in blocks
+of ``_BLOCK`` with one numpy ``uint64`` expression, whose arithmetic wraps
+mod 2**64 exactly as the scalar recurrence does; the stream is word for
+word the one above.
+
 Bounded draws use unbiased rejection sampling: draw 64-bit words until one
 falls below ``2**64 - (2**64 % k)``, then reduce modulo ``k``.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+_BLOCK = 1024
+# word k of a block is mix(state + k * golden), k = 1 .. _BLOCK
+_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+_BLOCK_STEP = (_BLOCK * _GOLDEN) & _MASK64
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_UMIX1, _UMIX2 = np.uint64(_MIX1), np.uint64(_MIX2)
+
+# _LIMITS[k] is the rejection limit 2**64 - (2**64 % k) for 0 < k < _SMALL,
+# which covers almost every bound generation draws
+_TWO64 = 1 << 64
+_SMALL = 256
+_LIMITS = (0,) + tuple(_TWO64 - _TWO64 % k for k in range(1, _SMALL))
 
 
 def _mix(z: int) -> int:
@@ -33,14 +55,27 @@ def _mix(z: int) -> int:
 class SplitMix64:
     """splitmix64 stream seeded with a 64-bit integer."""
 
-    __slots__ = ("_state",)
+    __slots__ = ("_state", "_buf")
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
+        # the unread words of the current block, last word first, so that
+        # list.pop() hands them out in stream order
+        self._buf: list[int] = []
+
+    def _refill(self) -> None:
+        z = np.uint64(self._state) + _STEPS
+        z = (z ^ (z >> _U30)) * _UMIX1
+        z = (z ^ (z >> _U27)) * _UMIX2
+        z ^= z >> _U31
+        self._state = (self._state + _BLOCK_STEP) & _MASK64
+        self._buf.extend(z[::-1].tolist())
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return _mix(self._state)
+        buf = self._buf
+        if not buf:
+            self._refill()
+        return buf.pop()
 
     def randrange(self, k: int) -> int:
         """Uniform integer in [0, k), unbiased via rejection."""
@@ -48,19 +83,34 @@ class SplitMix64:
             raise ValueError("randrange bound must be positive")
         if k == 1:
             return 0
-        limit = (1 << 64) - ((1 << 64) % k)
+        limit = _LIMITS[k] if k < _SMALL else _TWO64 - _TWO64 % k
+        buf = self._buf
         while True:
-            u = self.next_u64()
+            if not buf:
+                self._refill()
+            u = buf.pop()
             if u < limit:
                 return u % k
 
     def coin(self) -> bool:
-        return bool(self.next_u64() & 1)
+        buf = self._buf
+        if not buf:
+            self._refill()
+        return bool(buf.pop() & 1)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
+        buf = self._buf
         for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
+            k = i + 1
+            limit = _LIMITS[k] if k < _SMALL else _TWO64 - _TWO64 % k
+            while True:
+                if not buf:
+                    self._refill()
+                u = buf.pop()
+                if u < limit:
+                    break
+            j = u % k
             items[i], items[j] = items[j], items[i]
 
     def permutation(self, k: int) -> list[int]:
@@ -70,10 +120,14 @@ class SplitMix64:
 
     def geometric(self) -> int:
         """Number of successive heads before the first tail (mean 1)."""
+        buf = self._buf
         count = 0
-        while self.coin():
+        while True:
+            if not buf:
+                self._refill()
+            if not buf.pop() & 1:
+                return count
             count += 1
-        return count
 
 
 def derive_seed(seed: int, *parts: int) -> int:

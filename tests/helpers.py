@@ -35,11 +35,12 @@ FLIGHT_D = FLIGHT_SPACE.outcome({"airline": "LAN", "time": "night",
                                  "class": "business"})
 
 
-def small_space(rng: SplitMix64, max_vars: int = 3,
-                max_domain: int = 3) -> VariableSpace:
+def small_space(rng: SplitMix64, max_vars: int = 3, max_domain: int = 3,
+                min_domain: int = 2) -> VariableSpace:
     n = 2 + rng.randrange(max_vars - 1)
     names = [f"x{i}" for i in range(n)]
-    domains = {name: [f"v{j}" for j in range(2 + rng.randrange(max_domain - 1))]
+    span = max_domain - min_domain + 1
+    domains = {name: [f"v{j}" for j in range(min_domain + rng.randrange(span))]
                for name in names}
     return VariableSpace(names, domains)
 

@@ -216,6 +216,18 @@ class TestPinnedOutputs:
                      str(m), "--seed", str(seed), "-o", path]) == 0
         return path
 
+    @pytest.mark.parametrize("n, g, m, seed, want", [
+        (200, 1000, 1, 5,
+         "7fb1ab8d89cdd3357483381149eb144b8fbaa46351db7d9cc258531ffbfc62a9"),
+        (20, 100, 20, 101,
+         "c4da9bb15756c096e0873845bcc1acd49b35593498a0212cbef8154ca8f24ac9"),
+    ])
+    def test_generated_file(self, tmp_path, n, g, m, seed, want):
+        # the bytes gen writes pin the random stream and the file format
+        path = self.generate(tmp_path, n, g, m, seed)
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == want
+
     def test_check_json_on_a_large_file(self, tmp_path, capsys):
         path = self.generate(tmp_path, 200, 1000, 1, 5)
         assert self.digest(["check", path, "--json"], capsys) == (

@@ -296,7 +296,7 @@ def test_canonical_form_invariants(st_seed):
     # blocks partition the variables; difference values disagree pointwise;
     # one-value variables are always held
     rng = SplitMix64(st_seed)
-    space = small_space(rng)
+    space = small_space(rng, min_domain=1)
     stmt = random_statement(rng, space)
     masks = [stmt.u_mask, stmt.t_mask, stmt.r_mask | stmt.s_mask, stmt.w_mask]
     assert (stmt.u_mask | stmt.t_mask | stmt.r_mask | stmt.s_mask
