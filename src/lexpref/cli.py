@@ -32,7 +32,6 @@ from .errors import (InconsistentError, LexPrefError, ParseError,
                      UnsupportedQueryError)
 from .generator import GenConfig, GeneratedInstance, gen_instance
 from .instance import (Instance, format_instance, parse_instance, parse_query)
-from .kernel import warm_up
 from .optimality import compute_sets_timed
 from .oracle import (MODEL_CAP_DEFAULT, brute_consistent, brute_optimal_sets,
                      model_count)
@@ -212,7 +211,6 @@ def bench_rows(vars_list, stmts_list, alts, reps, seed, timings=True):
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    warm_up()
     rows = []
     for n in vars_list:
         for g in stmts_list:

@@ -11,7 +11,7 @@ on the variables that made it into the model.
 Inference queries reduce to consistency: a comparison is entailed when the
 statement set together with the opposite comparison has no model.
 
-Hot paths run through the array kernel in :mod:`lexpref.kernel`, which
+Hot paths run through the bitset kernel in :mod:`lexpref.kernel`, which
 also owns the encoding (:class:`EncodedGamma`).  :func:`valid_extension`
 restates the extension rule over objects and is the one reference the
 tests check the kernel's witnesses and failures against.
@@ -86,7 +86,8 @@ def consistent(space: VariableSpace, gamma: Sequence[PrefStatement],
 
     With ``verify`` on (the default for one-shot calls), the witness model
     is re-checked against every statement through the independent
-    stage-walk test; a mismatch would be an engine bug and raises.
+    stage-walk test, and every variable outside it must admit no valid
+    extension; a mismatch would be an engine bug and raises.
     """
     return consistent_from_encoding(EncodedGamma(space, gamma), verify=verify)
 
@@ -114,6 +115,14 @@ def consistent_from_encoding(enc: EncodedGamma,
                     f"internal error: witness disagrees with stage-walk test "
                     f"on statement {st.label or j}")
         tests += g
+        # maximality: not counted in test_count, which check --json prints
+        for x in iter_bits(space.full_mask & ~witness.vmask):
+            name = space.variables[x]
+            if valid_extension(space, enc.statements, witness,
+                               name) is not None:
+                raise RuntimeError(
+                    f"internal error: witness is not maximal, {name} "
+                    f"extends it")
     is_consistent = ok == 1
     return ConsistencyResult(
         consistent=is_consistent,

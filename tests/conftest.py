@@ -1,13 +1,4 @@
-import pytest
 from hypothesis import settings
-
-from lexpref.kernel import warm_up
 
 settings.register_profile("repeatable", derandomize=True, deadline=None)
 settings.load_profile("repeatable")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernel():
-    # JIT compilation happens once here, outside any timed section
-    warm_up()

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
 from lexpref import (LexModel, Outcome, PartialAssignment, StatementKind,
                      TotalValueOrder, VariableSpace, canonicalize,
                      negate_non_strict)
@@ -117,58 +115,44 @@ def all_two_three_spaces() -> list[VariableSpace]:
     return spaces
 
 
-def reference_encoding(space: VariableSpace, statements) -> tuple:
-    """What ``EncodedGamma._args`` must hold for ``statements``.
+def reference_encoding(space: VariableSpace, statements) -> dict:
+    """What ``EncodedGamma``'s tables must hold for ``statements``.
 
     Built the direct way: one ``iter_bits`` walk per block mask per
-    statement fills per-variable buckets, which are then packed into CSR
-    pointer and entry arrays of the kernel's dtypes.
+    statement sets statement j's bit in per-variable masks.  Each of
+    ``pairs``, ``bests`` and ``worsts`` is, per variable, the union of its
+    entries' masks with a dict of each entry (pair or value) to its mask.
     """
     n = space.n
-    g = len(statements)
-    codes = {StatementKind.NON_STRICT: 0, StatementKind.FULLY_STRICT: 1,
-             StatementKind.WEAKLY_STRICT: 2,
-             StatementKind.NEGATED_NON_STRICT: 3}
-    kind = np.zeros(g, np.int8)
-    rs = [[] for _ in range(n)]
-    bo = [[] for _ in range(n)]
-    wo = [[] for _ in range(n)]
-    w_count = np.zeros(n, np.int32)
-    sw = [[] for _ in range(g)]
-    nt = [[] for _ in range(n)]
+    tables = {name: [[0, {}] for _ in range(n)]
+              for name in ("pairs", "bests", "worsts")}
+    masks = {name: [0] * n for name in ("wblk", "kill", "touch")}
+    kinds = {"full": 0, "weak": 0, "neg": 0}
+    kind_name = {StatementKind.FULLY_STRICT: "full",
+                 StatementKind.WEAKLY_STRICT: "weak",
+                 StatementKind.NEGATED_NON_STRICT: "neg"}
+
+    def add(name, x, key, bit):
+        table = tables[name][x]
+        table[0] |= bit
+        table[1][key] = table[1].get(key, 0) | bit
+        masks["touch"][x] |= bit
+
     for j, st in enumerate(statements):
-        kind[j] = codes[st.kind]
-        if st.kind is StatementKind.NEGATED_NON_STRICT:
-            # required pair reversed: right value above left value
-            for x in iter_bits(st.rs_mask):
-                rs[x].append((j, st.s.vals[x], st.r.vals[x]))
-            for x in iter_bits(st.w_mask):
-                nt[x].append((j,))
-        else:
-            for x in iter_bits(st.rs_mask):
-                rs[x].append((j, st.r.vals[x], st.s.vals[x]))
-            for x in iter_bits(st.r_mask & ~st.s_mask):
-                bo[x].append((j, st.r.vals[x]))
-            for x in iter_bits(st.s_mask & ~st.r_mask):
-                wo[x].append((j, st.s.vals[x]))
-            for x in iter_bits(st.w_mask):
-                w_count[x] += 1
-                sw[j].append((x,))
-    return (n, space.dmax,
-            np.array([space.domain_size(i) for i in range(n)], np.int32),
-            kind,
-            *_csr(rs, np.int32, np.int16, np.int16),
-            *_csr(bo, np.int32, np.int16), *_csr(wo, np.int32, np.int16),
-            w_count, *_csr(sw, np.int32), *_csr(nt, np.int32))
-
-
-def _csr(buckets, *dtypes) -> tuple:
-    """Pointer array plus one entry array per tuple field of the buckets."""
-    ptr = np.zeros(len(buckets) + 1, np.int32)
-    columns = [[] for _ in dtypes]
-    for i, bucket in enumerate(buckets):
-        for entry in bucket:
-            for column, value in zip(columns, entry):
-                column.append(value)
-        ptr[i + 1] = len(columns[0])
-    return (ptr, *(np.array(c, dt) for c, dt in zip(columns, dtypes)))
+        bit = 1 << j
+        if st.kind in kind_name:
+            kinds[kind_name[st.kind]] |= bit
+        negated = st.kind is StatementKind.NEGATED_NON_STRICT
+        for x in iter_bits(st.rs_mask):
+            # a negation requires the pair reversed: right value above left
+            r, s = st.r.vals[x], st.s.vals[x]
+            add("pairs", x, (s, r) if negated else (r, s), bit)
+            masks["kill"][x] |= bit
+        for x in iter_bits(st.r_mask & ~st.s_mask):
+            add("bests", x, st.r.vals[x], bit)
+        for x in iter_bits(st.s_mask & ~st.r_mask):
+            add("worsts", x, st.s.vals[x], bit)
+        for x in iter_bits(st.w_mask):
+            masks["kill" if negated else "wblk"][x] |= bit
+    return {**{name: [tuple(entry) for entry in table]
+               for name, table in tables.items()}, **masks, **kinds}

@@ -19,6 +19,7 @@ from lexpref import (AlternativeSet, GenConfig, LexModel, TotalValueOrder,
                      outcome_comparison, satisfies, satisfies_star,
                      statement_consistent, valid_extension)
 from lexpref.cli import main
+from lexpref.kernel import EncodedGamma
 from lexpref.rng import SplitMix64, derive_seed
 
 GRID_SEED = 20260808
@@ -141,7 +142,18 @@ def test_criterion_3_optimality_matches_brute_force():
         assert elapsed <= 120, f"sweep took {elapsed:.0f}s"
 
 
-def test_criterion_4_desk_scale_reproduction():
+def test_criterion_4_desk_scale_reproduction(monkeypatch):
+    # every kernel run and its elementary tests, over the whole grid
+    counts = {"runs": 0, "tests": 0}
+    run = EncodedGamma.run
+
+    def counting_run(self, *args):
+        result = run(self, *args)
+        counts["runs"] += 1
+        counts["tests"] += result[6]
+        return result
+
+    monkeypatch.setattr(EncodedGamma, "run", counting_run)
     with criterion(4, "desk-scale benchmark reproduction"):
         start = time.perf_counter()
         grid = (10, 50, 100)
@@ -175,6 +187,11 @@ def test_criterion_4_desk_scale_reproduction():
                 f"necessary-set trend broken at g={g}: {no_means}"
         elapsed = time.perf_counter() - start
         assert elapsed <= 300, f"grid took {elapsed:.0f}s"
+        print(f"  {counts['runs']} kernel runs, {counts['tests']} tests")
+        # measured at commit 1fc3d79 and deterministic, since generation
+        # is a pinned splitmix64 stream; a change that lowers either count
+        # updates it here
+        assert counts == {"runs": 14_934, "tests": 7_339_046}
 
 
 def test_criterion_5_scaling_envelope():

@@ -2,11 +2,10 @@
 
 import itertools
 
-import numpy as np
 import pytest
 
 from helpers import (FLIGHT_A, FLIGHT_B, FLIGHT_D, FLIGHT_G,
-                     FLIGHT_SPACE, random_gamma, random_outcome,
+                     FLIGHT_SPACE, random_gamma,
                      reference_encoding, small_space)
 from lexpref import (FailureReason, GenConfig, InconsistentError, LexModel,
                      StatementKind, TotalValueOrder, UnsupportedQueryError,
@@ -17,7 +16,6 @@ from lexpref import (FailureReason, GenConfig, InconsistentError, LexModel,
                      gen_instance, negate_non_strict,
                      outcome_comparison, satisfies, satisfies_star,
                      statement_consistent, v_gamma, valid_extension)
-from lexpref import kernel
 from lexpref.engine import EncodedGamma
 from lexpref.rng import SplitMix64
 
@@ -185,19 +183,13 @@ class TestBuildMaximalStarModel:
 class TestEncodedGamma:
     @staticmethod
     def assert_tables_match_reference(space, gamma):
-        got = EncodedGamma(space, gamma)._args
+        enc = EncodedGamma(space, gamma)
         want = reference_encoding(space, gamma)
-        assert len(got) == len(want)
-        for k, (a, b) in enumerate(zip(got, want)):
-            if isinstance(b, np.ndarray):
-                if kernel.HAS_NUMBA:
-                    assert (a.dtype, a.shape) == (b.dtype, b.shape), k
-                else:   # the interpreter's form: a list of plain ints
-                    assert (type(a), len(a)) == (list, len(b)), k
-                    assert all(type(v) is int for v in a), k
-                assert np.array_equal(a, b), k
-            else:
-                assert a == b, k
+        got = {name: getattr(enc, name) for name in want}
+        for name in ("pairs", "bests", "worsts"):
+            got[name] = [(every, dict(entries))
+                         for every, entries in got[name]]
+        assert got == want
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 200])
     def test_tables_match_bit_walk(self, n):
@@ -242,6 +234,28 @@ class TestConsistent:
         ok, _ = brute_consistent(SP, gamma)
         assert not ok
 
+    def test_verify_rejects_a_witness_that_stops_early(self, monkeypatch):
+        # z is held in the only statement and declared last, so a kernel
+        # result without z's stage still satisfies exactly the statements
+        # it reports; only the maximality check sees the missing stage
+        space = VariableSpace(["x", "y", "z"], {"x": ["a", "b"],
+                                                "y": ["c", "d"],
+                                                "z": ["e", "f"]})
+        gamma = [canonicalize(space, space.partial({"x": "a"}),
+                              space.partial({"x": "b"}), ["y", "z"],
+                              StatementKind.FULLY_STRICT)]
+        assert consistent(space, gamma).witness.stages[-1].variable == "z"
+        run = EncodedGamma.run
+
+        def early_stop(self, *args):
+            ok, nstages, *rest = run(self, *args)
+            return (ok, nstages - 1, *rest)
+
+        monkeypatch.setattr(EncodedGamma, "run", early_stop)
+        assert consistent(space, gamma, verify=False).v_gamma == {"x", "y"}
+        with pytest.raises(RuntimeError, match="not maximal, z extends"):
+            consistent(space, gamma)
+
     def test_unsatisfiable_statement_short_circuits(self):
         bad = outcome_comparison(SP, FLIGHT_A, FLIGHT_A, strict=True,
                                  label="bad")
@@ -280,26 +294,6 @@ class TestConsistent:
             assert res.consistent == ok
             if res.consistent:
                 assert all(satisfies(res.witness, st) for st in gamma)
-
-    def test_backends_agree_exactly(self):
-        # the compiled kernel against its own source run as plain Python,
-        # with and without an extra comparison row, each way strict
-        if not kernel.HAS_NUMBA:
-            pytest.skip("numba unavailable")
-        rng = SplitMix64(201)
-        for _ in range(200):
-            space = small_space(rng)
-            enc = EncodedGamma(space, random_gamma(rng, space))
-            row = ([random_outcome(rng, space).values],
-                   [random_outcome(rng, space).values])
-            for rows in (((), ()), row):
-                extras = kernel._as_arrays(space.n, *rows)
-                for strict in (False, True):
-                    compiled = kernel.greedy(*enc._args, *extras, strict)
-                    source = kernel._greedy_impl(*enc._args, *extras, strict)
-                    assert len(compiled) == len(source)
-                    for got, want in zip(compiled, source):
-                        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("max_vars, max_domain, max_statements",
                              [(5, 4, 6), (4, 9, 12)])

@@ -1,60 +1,17 @@
-"""Backend selection, argument forms, comparison rows against statements,
-unsatisfiable rows and the kernel on wider domains."""
+"""Comparison rows against statements, unsatisfiable rows and the kernel
+on wider domains."""
 
 import pytest
 
 from helpers import (random_gamma, random_outcome, random_statement,
-                     reference_encoding, small_space)
+                     small_space)
 from lexpref import (GenConfig, StatementKind, VariableSpace,
                      brute_consistent, canonicalize, consistent,
                      gen_instance, negate_non_strict, outcome_comparison,
                      satisfies, statement_consistent)
-from lexpref import kernel
 from lexpref.engine import consistent_with_comparisons
-from lexpref.kernel import HAS_NUMBA, EncodedGamma, backend_name
+from lexpref.kernel import EncodedGamma
 from lexpref.rng import SplitMix64, derive_seed
-
-
-class TestBackendSelection:
-    def test_auto_prefers_numba_when_available(self):
-        assert backend_name() == ("numba" if HAS_NUMBA else "python")
-
-    def test_warm_up_runs_the_kernel_once(self, monkeypatch):
-        # the body only runs under numba; run it over the Python kernel
-        results = []
-
-        def spy(*args):
-            results.append(kernel._greedy_impl(*args))
-            return results[-1]
-
-        monkeypatch.setattr(kernel, "HAS_NUMBA", True)
-        monkeypatch.setattr(kernel, "greedy", spy)
-        kernel.warm_up()
-        assert len(results) == 1
-        ok, nstages, stage_vars, *_ = results[0]
-        assert (ok, nstages, stage_vars[0]) == (1, 1, 0)
-
-
-class TestArgumentForms:
-    def test_arrays_and_lists_run_alike(self):
-        # one kernel source over the numpy arrays the compiled kernel takes
-        # and over the lists the interpreter runs, on the instances of
-        # test_backends_agree_exactly, with and without a comparison row,
-        # each way strict; a 2-D subscript or a list-only method breaks one
-        # of the two
-        rng = SplitMix64(201)
-        for _ in range(200):
-            space = small_space(rng)
-            arrays = reference_encoding(space, random_gamma(rng, space))
-            lists = kernel._as_lists(arrays)
-            row = ([random_outcome(rng, space).values],
-                   [random_outcome(rng, space).values])
-            for rows in (((), ()), row):
-                for strict in (False, True):
-                    from_arrays = kernel._greedy_impl(
-                        *arrays, *kernel._as_arrays(space.n, *rows), strict)
-                    from_lists = kernel._greedy_impl(*lists, *rows, strict)
-                    assert from_arrays == from_lists
 
 
 def _pairs_of(alts, rng, count):
