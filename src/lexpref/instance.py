@@ -25,15 +25,27 @@ Every error in a file names its line; trailing input after a statement and
 an unclosed held set also give their column, counted from the start of the
 line (of the query, for a query).  Re-serialising a parsed file is lossless
 up to canonicalisation of the statements.
+
+Lists spelled as :func:`format_instance` writes them (items joined by
+``", "``, no blank next to a bracket or brace, one blank after an
+``outcome`` line's colon) are read by table: each item, with one blank
+before it, is looked up once in tables built per parse, and a statement's
+agreement, left and right blocks are split by item text before any
+lookup.  Every other spelling, and every list with an unknown name, a
+repeated variable, a one-value variable on a side or a held name that
+overlaps a side, is read by the full reader (:func:`_assignment`, then
+:func:`lexpref.statements.canonicalize`), which gives the same result and
+every error message.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress, filterfalse
+from typing import NamedTuple
 
-from .core import (Outcome, PartialAssignment, VariableSpace, index_mask,
-                   iter_bits)
+from .core import Outcome, PartialAssignment, VariableSpace
 from .errors import ParseError
 from .optimality import AlternativeSet
 from .statements import (PrefStatement, StatementKind, canonicalize,
@@ -44,10 +56,13 @@ _NAME_RE = re.compile(rf"^{_NAME}$")
 _OPS = {">=": StatementKind.NON_STRICT,
         ">>": StatementKind.FULLY_STRICT,
         ">": StatementKind.WEAKLY_STRICT}
+# Each list runs to its closing bracket: a one-character class is scanned
+# by re's literal loop.  _shape refuses a '[' in a side or a '{' in the
+# held set as the grammar does.
 _STMT_RE = re.compile(
     r"\s*(?P<neg>not\s*\(\s*)?"
-    r"\[(?P<p>[^\[\]]*)\]\s*(?P<op>>=|>>|>)\s*\[(?P<q>[^\[\]]*)\]"
-    r"(?:\s*\|\|\s*\{(?P<t>[^{}]*)(?P<close>\})?)?"
+    r"\[(?P<p>[^]]*)\]\s*(?P<op>>=|>>|>)\s*\[(?P<q>[^]]*)\]"
+    r"(?:\s*\|\|\s*\{(?P<t>[^}]*)(?P<close>\})?)?"
     r"(?(neg)\s*\))\s*")
 _CMP_RE = re.compile(
     rf"\s*(?P<left>{_NAME})\s*(?P<op>>=|>>|==|>)\s*(?P<right>{_NAME})\s*")
@@ -90,56 +105,104 @@ def _assignment(text: str) -> dict[str, str]:
     return out
 
 
-def _item_table(space: VariableSpace) -> dict[str, tuple[int, int]]:
-    """Each ``VAR=val`` text to its ``(variable, value)`` indices.
+class _Items(NamedTuple):
+    """Per-parse lookup tables, keyed by item text with one blank before it.
 
-    Only texts that :func:`_assignment` reads back as that one pair get an
-    entry: a name with a comma or surrounding blanks, or a variable with an
-    ``=``, would be split elsewhere (variable ``a`` with value ``b=c`` and
-    variable ``a=b`` with value ``c`` both spell ``a=b=c``).  Built once per
-    parse; kept off the space, which outlives the parse.
+    ``pair`` maps ``" VAR=val"`` to its ``(variable, value)`` indices and
+    ``bit`` maps it to its variable's bit, except for one-value variables,
+    which a statement holds and never puts on a side; ``held`` maps
+    ``" VAR"`` to its variable's bit.
     """
-    table: dict[str, tuple[int, int]] = {}
+
+    pair: dict[str, tuple[int, int]]
+    bit: dict[str, int]
+    held: dict[str, int]
+
+
+def _item_table(space: VariableSpace) -> _Items:
+    """The lookup tables of ``space``, built once per parse.
+
+    Only texts that the full readers read back as that one name or pair
+    get an entry: a name with a comma or surrounding blanks, or a variable
+    with an ``=``, would be split elsewhere (variable ``a`` with value
+    ``b=c`` and variable ``a=b`` with value ``c`` both spell ``a=b=c``).
+    Kept off the space, which outlives the parse.
+    """
+    pair: dict[str, tuple[int, int]] = {}
+    bit: dict[str, int] = {}
+    held: dict[str, int] = {}
+    singles = space.singleton_mask
     for i, (var, domain) in enumerate(zip(space.variables, space.domains)):
-        if not var or var != var.strip() or "=" in var or "," in var:
+        if var != var.strip() or "," in var:
+            continue
+        held[f" {var}"] = 1 << i
+        if not var or "=" in var:
             continue
         for j, val in enumerate(domain):
             if val and val == val.strip() and "," not in val:
-                table[f"{var}={val}"] = (i, j)
-    return table
+                pair[f" {var}={val}"] = (i, j)
+                if not singles >> i & 1:
+                    bit[f" {var}={val}"] = 1 << i
+    return _Items(pair, bit, held)
 
 
-def _lookup(items: dict[str, tuple[int, int]],
-            text: str) -> dict[int, int] | None:
-    """A ``VAR=val, ...`` list as value indices by variable index, one
-    table lookup per item; ``None`` when an item misses the table or a
-    variable repeats.
+def _items(text: str) -> list[str]:
+    """A bracketed list's items, each with one blank before it."""
+    return f" {text}".split(",") if text else []
 
-    The callers then read ``text`` with :func:`_assignment`, which gives
-    the same result when the list is valid and every error message when
-    it is not.
+
+def _table_statement(match: re.Match, space: VariableSpace, items: _Items,
+                     label: str) -> PrefStatement | None:
+    """The statement a ``_STMT_RE`` match spells, read by table; ``None``
+    when the full reader must read it.
+
+    The agreement block is p's items that q also holds, found by text.
+    Each mask is a sum of bits, so a variable repeated within a block
+    shows as a popcount short of the block's length, one repeated across
+    blocks as an overlap, and an item of p that q repeats as a q longer
+    than its agreement and right blocks.
     """
+    kind = _OPS[match["op"]]
+    if match["neg"] is not None:
+        if kind is not StatementKind.NON_STRICT:
+            return None
+        kind = StatementKind.NEGATED_NON_STRICT
+    p, q, held = _items(match["p"]), _items(match["q"]), _items(match["t"])
+    in_q = set(q).__contains__
+    u = [*filter(in_q, p)]
+    r = [*filterfalse(in_q, p)]
+    s = [*filterfalse(set(p).__contains__, q)]
+    bit = items.bit.__getitem__
     try:
-        vals = dict(map(items.__getitem__, map(str.strip, text.split(","))))
+        u_mask, r_mask, s_mask = (sum(map(bit, u)), sum(map(bit, r)),
+                                  sum(map(bit, s)))
+        t_mask = sum(map(items.held.__getitem__, held))
     except KeyError:
         return None
-    return vals if len(vals) == text.count(",") + 1 else None
+    if (len(u) + len(s) != len(q)
+            or u_mask.bit_count() + r_mask.bit_count() + s_mask.bit_count()
+            + t_mask.bit_count() != len(p) + len(s) + len(held)
+            or u_mask & (r_mask | s_mask | t_mask)
+            or t_mask & (r_mask | s_mask)):
+        return None
+    pair = items.pair.__getitem__
+    return PrefStatement(
+        space, kind,
+        PartialAssignment._trusted(space, dict(map(pair, u)), u_mask),
+        PartialAssignment._trusted(space, dict(map(pair, r)), r_mask),
+        PartialAssignment._trusted(space, dict(map(pair, s)), s_mask),
+        t_mask | space.singleton_mask, label=label)
 
 
-def _side(space: VariableSpace, items: dict[str, tuple[int, int]],
-          text: str) -> PartialAssignment:
-    """A bracketed side of a statement."""
-    vals = _lookup(items, text)
-    if vals is None:
-        return space.partial(_assignment(text))
-    return PartialAssignment._trusted(space, vals, index_mask(vals))
-
-
-def _outcome_line(space: VariableSpace, items: dict[str, tuple[int, int]],
+def _outcome_line(space: VariableSpace, items: _Items,
                   text: str) -> Outcome:
     """The assignment of an ``outcome`` line, which names every variable."""
-    vals = _lookup(items, text)
-    if vals is None or len(vals) != space.n:
+    parts = text.split(",")
+    try:
+        vals = dict(map(items.pair.__getitem__, parts))
+    except KeyError:
+        vals = {}
+    if len(vals) != space.n or len(parts) != space.n:
         return space.outcome(_assignment(text))
     return Outcome(space, tuple(map(vals.__getitem__, range(space.n))))
 
@@ -158,27 +221,41 @@ def _shape(text: str, offset: int, query: bool) -> re.Match:
     ``text``; errors are ``ValueError``.
     """
     match = _STMT_RE.match(text) or _CMP_RE.match(text)
+    shapes = _QUERY_SHAPES if query else _SHAPES
     if match is None or (match.re is _CMP_RE and match["op"] == "=="
                          and not query):
-        raise ValueError(_QUERY_SHAPES if query else _SHAPES)
-    if match.re is _STMT_RE and match["t"] is not None and not match["close"]:
-        raise ValueError(f"held set opened at column "
-                         f"{offset + match.start('t')} lacks its closing '}}'")
+        raise ValueError(shapes)
+    if match.re is _STMT_RE:
+        # A '[' in a side matches no shape.  A held set ends at a '{' as at
+        # a missing '}', unless a negation then has no ')' before the '{'
+        # to close on.
+        held = match["t"]
+        brace = -1 if held is None else held.find("{")
+        if "[" in match["p"] or "[" in match["q"] or (
+                brace >= 0 and match["neg"] is not None
+                and ")" not in held[:brace]):
+            raise ValueError(shapes)
+        if held is not None and (brace >= 0 or not match["close"]):
+            raise ValueError(f"held set opened at column "
+                             f"{offset + match.start('t')} lacks its "
+                             f"closing '}}'")
     if match.end() < len(text):
         raise ValueError(
             f"trailing input at column {offset + match.end() + 1}")
     return match
 
 
-def _statement(match: re.Match, space: VariableSpace,
-               items: dict[str, tuple[int, int]],
+def _statement(match: re.Match, space: VariableSpace, items: _Items,
                outcomes: dict[str, Outcome], label: str) -> PrefStatement:
     """The statement a ``_shape`` match spells; errors are ``ValueError``.
 
     ``items`` is the space's :func:`_item_table`.
     """
     if match.re is _STMT_RE:
-        p, q = (_side(space, items, match[side]) for side in "pq")
+        st = _table_statement(match, space, items, label)
+        if st is not None:
+            return st
+        p, q = (space.partial(_assignment(match[side])) for side in "pq")
         held = match["t"] or ""
         t_vars = [v.strip() for v in held.split(",")] if held.strip() else []
         negated = match["neg"] is not None
@@ -195,7 +272,7 @@ def parse_instance(text: str) -> Instance:
     var_names: list[str] = []
     var_domains: dict[str, list[str]] = {}
     space: VariableSpace | None = None
-    items: dict[str, tuple[int, int]] = {}     # _item_table(space)
+    items = _Items({}, {}, {})               # _item_table(space)
     outcomes: dict[str, Outcome] = {}
     statements: list[PrefStatement] = []
     stmt_names: set[str] = set()
@@ -310,17 +387,29 @@ def parse_query(instance: Instance, text: str):
     return ("cmp", ">" if op == ">>" else op, left, right)
 
 
-def _format_side(space: VariableSpace, vals: dict[int, int]) -> str:
-    parts = ", ".join(f"{space.variables[i]}={space.domains[i][v]}"
-                      for i, v in sorted(vals.items()))
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _selectors(mask: int) -> bytes:
+    """One byte per variable index, non-zero where ``mask`` has its bit."""
+    return format(mask, "b").encode()[::-1].translate(_BITS)
+
+
+def _format_side(space: VariableSpace, vals: dict[int, int],
+                 mask: int) -> str:
+    """``vals`` (whose keys are ``mask``'s bits) in variable order."""
+    names, domains = space.variables, space.domains
+    parts = ", ".join([f"{names[i]}={domains[i][vals[i]]}"
+                       for i in compress(range(space.n), _selectors(mask))])
     return f"[{parts}]"
 
 
 def format_statement(st: PrefStatement) -> str:
     space = st.space
-    left = _format_side(space, {**st.u.vals, **st.r.vals})
-    right = _format_side(space, {**st.u.vals, **st.s.vals})
-    held = ", ".join(map(space.variables.__getitem__, iter_bits(st.t_mask)))
+    u, u_mask = st.u.vals, st.u_mask
+    left = _format_side(space, {**u, **st.r.vals}, u_mask | st.r_mask)
+    right = _format_side(space, {**u, **st.s.vals}, u_mask | st.s_mask)
+    held = ", ".join(compress(space.variables, _selectors(st.t_mask)))
     if st.kind is StatementKind.NEGATED_NON_STRICT:
         return f"not ({left} >= {right} || {{{held}}})"
     op = {StatementKind.NON_STRICT: ">=",

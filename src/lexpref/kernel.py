@@ -8,8 +8,8 @@ its live required pairs plus pin edges (pinned best above every other
 value, every other value above pinned worst) have a topological order, so
 one smallest-index Kahn pass decides the stage and ranks it.  Every
 consistency verdict and every optimality membership test that no recorded
-model answers is one run: 36 runs per ``optimal`` op on the benchmark's
-desk grid, and about 15,000 over the 90 instances (m=100) of the
+model answers is one run: about 29 runs per ``optimal`` op on the
+benchmark's desk grid, and 13,736 over the 90 instances (m=100) of the
 desk-scale acceptance test.
 
 The per-statement state of a run is two Python ints, bit j for statement

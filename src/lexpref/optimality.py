@@ -24,7 +24,9 @@ certificate covers runs no kernel.  That is sound because the model
 satisfies the statement set plus the test's comparisons, so the set is
 consistent, which is exactly what the kernel decides.
 ``compute_sets`` walks the inclusion chain NO ⊆ PSO ⊆ PO, PSO ⊆ CSD: PSO
-is tested only on PO members and CSD only outside PSO.
+is tested only on PO members and CSD only outside PSO, and not at all
+when NO is non-empty: no competitor ever strictly beats a necessarily
+optimal class, so CSD = PSO = NO.
 
 NO needs no engine run: it is PSO when PSO is a single class, and empty
 otherwise.  Let M be any model of the statement set and M* the greedy
@@ -299,7 +301,7 @@ def compute_sets_timed(space: VariableSpace, gamma: Sequence[PrefStatement],
 
     Each class is tested only on the representatives the earlier classes
     leave undecided, so a class's time is its cost given the earlier ones;
-    NO is read off PSO without a test.
+    NO is read off PSO without a test, and a non-empty NO is CSD.
     """
     run = _MembershipRun(space, gamma, alternatives)
     timings: dict[str, float] = {}
@@ -313,8 +315,9 @@ def compute_sets_timed(space: VariableSpace, gamma: Sequence[PrefStatement],
     every = range(len(run.reps))
     po = timed("po", run.po_rep, every)
     pso = timed("pso", run.pso_rep, po)
-    csd = pso + timed("csd", run.csd_rep, [p for p in every if p not in pso])
     no = timed("no", lambda p: len(pso) == 1, pso)  # see the module docstring
+    csd = pso + timed("csd", run.csd_rep,
+                      [] if no else [p for p in every if p not in pso])
     sets = OptimalSets(po=run.expand(po), pso=run.expand(pso),
                        csd=run.expand(csd), no=run.expand(no),
                        eq_classes=run.eq_classes)

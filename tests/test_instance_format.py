@@ -8,7 +8,10 @@ from lexpref import (GenConfig, Instance, ParseError, PartialAssignment,
                      StatementKind, VariableSpace, canonicalize, consistent,
                      entails, format_instance, gen_instance, negate_non_strict,
                      parse_instance, parse_query)
-from lexpref.instance import _assignment, _item_table, _outcome_line, _side
+from lexpref.instance import (_CMP_RE, _OPS, _QUERY_SHAPES, _SHAPES,
+                              _STMT_RE, _assignment, _item_table,
+                              _outcome_line, _shape, _statement,
+                              _table_statement)
 from lexpref.rng import SplitMix64
 
 FLIGHT_FILE = """\
@@ -265,12 +268,13 @@ AWKWARD = VariableSpace(["a", "a=b", " p", "q,r", "", "u"],
                          "u": ["on", " off", "x,y", ""]})
 
 
-def _items_text(rng, space, full):
-    """A ``VAR=val`` list over ``space``, often malformed on purpose."""
-    if full:
+def _items_text(rng, space, full, order=None):
+    """A ``VAR=val`` list over ``space`` (over ``order``'s variables when
+    given), often malformed on purpose."""
+    if order is None and full:
         order = list(range(space.n))
         rng.shuffle(order)
-    else:
+    elif order is None:
         order = [rng.randrange(space.n) for _ in range(rng.randrange(5))]
     items = []
     for i in order:
@@ -291,6 +295,8 @@ def _items_text(rng, space, full):
             items.append(var)
             continue
         items.append(f"{var}={val}")
+        if roll == 6:
+            items.append(items[-1])
     text = (", " if rng.coin() else ",").join(items)
     return text + "," if rng.randrange(10) == 0 else text
 
@@ -309,35 +315,35 @@ def _result(fn, *args):
         return "error", str(exc)
 
 
+def _space(seed):
+    """AWKWARD, or a generated space with one-value variables."""
+    if seed == 0:
+        return AWKWARD
+    return gen_instance(GenConfig(n=2 + seed, g=1, m=1, seed=seed,
+                                  domain_min=1, domain_max=3)).space
+
+
 class TestItemTable:
     """The table lookups against the readers they stand in for."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_lookups_match_the_full_readers(self, seed):
-        if seed == 0:
-            space = AWKWARD
-        else:
-            space = gen_instance(GenConfig(n=2 + seed, g=1, m=1, seed=seed,
-                                           domain_min=1, domain_max=3)).space
+        space = _space(seed)
         items = _item_table(space)
         rng = SplitMix64(seed)
         sides, errors = [], 0
         for _ in range(400):
             text = _items_text(rng, space, full=False)
-            got = _result(_side, space, items, text)
-            want = _result(lambda t: space.partial(_assignment(t)), text)
-            assert got[0] == want[0], text
-            if got[0] == "error":
-                assert got == want, text
+            side = _result(lambda t: space.partial(_assignment(t)), text)
+            if side[0] == "error":
                 errors += 1
-                continue
-            assert got[1] == want[1], text
-            assert list(got[1].vals.items()) == list(want[1].vals.items())
-            assert got[1].mask == want[1].mask
-            sides.append(got[1])
+            else:
+                sides.append(side[1])
 
             full = _items_text(rng, space, full=True)
-            for line in (text, full):
+            # an outcome line's list starts after the blank that follows
+            # its colon
+            for line in (text, full, " " + text, " " + full):
                 assert _result(_outcome_line, space, items, line) == _result(
                     lambda t: space.outcome(_assignment(t)), line), line
 
@@ -375,3 +381,122 @@ class TestItemTable:
         _, st = parse_query(inst, "[a=b=c] >= []")
         assert st.r.as_dict() == {"a": "b=c"}
 
+
+def _stmt_line(rng, space):
+    """A whole statement line over ``space``, often malformed on purpose."""
+    order = list(range(space.n))
+    rng.shuffle(order)
+    del order[rng.randrange(min(space.n, 5) + 1):]
+    p = _items_text(rng, space, False, order)
+    # q often over p's variables, so that negations are often well formed
+    q = _items_text(rng, space, False, order if rng.coin() else None)
+    negated = rng.randrange(4) == 0
+    op = (">=", ">>", ">")[rng.randrange(3)]
+    if negated and rng.coin():
+        op = ">="
+    names = [space.variables[i] for i in range(space.n)
+             if i not in order and rng.coin()]
+    roll = rng.randrange(8)
+    if roll == 0:
+        names.append("zz")
+    elif roll == 1:
+        names.append("")
+    elif roll == 2 and names:
+        names.append(names[0])
+    elif roll == 3 and order:
+        names.append(space.variables[order[0]])     # overlaps a side
+    line = f"[{p}] {op} [{q}]"
+    if rng.randrange(4):
+        held = (", " if rng.coin() else ",").join(names)
+        line += f" || {{{held}}}"
+    return f"not ({line})" if negated else line
+
+
+def _reference_statement(space, match, label):
+    """The full reader: each side, then canonicalize and the negation."""
+    p, q = (space.partial(_assignment(match[side])) for side in "pq")
+    held = match["t"] or ""
+    t_vars = [v.strip() for v in held.split(",")] if held.strip() else []
+    st = canonicalize(space, p, q, t_vars, _OPS[match["op"]], label=label)
+    return negate_non_strict(st, label=label) if match["neg"] else st
+
+
+def _blocks(st):
+    return (st.kind, st.label, st.t_mask,
+            *((list(b.vals.items()), b.mask) for b in (st.u, st.r, st.s)))
+
+
+# The statement grammar with classes that stop at any bracket: a side at
+# '[' or ']', a held set at '{' or '}'.  _STMT_RE's lists run to their
+# closing bracket, and _shape must refuse what this pattern refuses.
+_REFERENCE_STMT_RE = re.compile(
+    r"\s*(?P<neg>not\s*\(\s*)?"
+    r"\[(?P<p>[^\[\]]*)\]\s*(?P<op>>=|>>|>)\s*\[(?P<q>[^\[\]]*)\]"
+    r"(?:\s*\|\|\s*\{(?P<t>[^{}]*)(?P<close>\})?)?"
+    r"(?(neg)\s*\))\s*")
+
+
+def _reference_shape(text, offset, query):
+    match = _REFERENCE_STMT_RE.match(text) or _CMP_RE.match(text)
+    if match is None or (match.re is _CMP_RE and match["op"] == "=="
+                         and not query):
+        raise ValueError(_QUERY_SHAPES if query else _SHAPES)
+    if (match.re is _REFERENCE_STMT_RE and match["t"] is not None
+            and not match["close"]):
+        raise ValueError(f"held set opened at column "
+                         f"{offset + match.start('t')} lacks its closing '}}'")
+    if match.end() < len(text):
+        raise ValueError(
+            f"trailing input at column {offset + match.end() + 1}")
+    return match
+
+
+class TestStatementRoute:
+    """Whole statement lines, read by table, against the full reader."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lines_read_as_the_full_reader_reads_them(self, seed):
+        space = _space(seed)
+        items = _item_table(space)
+        rng = SplitMix64(100 + seed)
+        outcomes = {"ok": 0, "error": 0, "table": 0}
+        for _ in range(1000):
+            line = _stmt_line(rng, space)
+            match = _shape(line, 0, query=False)
+            got = _result(_statement, match, space, items, {}, "s")
+            want = _result(_reference_statement, space, match, "s")
+            assert got[0] == want[0], line
+            outcomes[got[0]] += 1
+            if got[0] == "error":
+                assert got == want, line
+                continue
+            assert _blocks(got[1]) == _blocks(want[1]), line
+            outcomes["table"] += _table_statement(
+                match, space, items, "s") is not None
+        # both readers and both outcomes are exercised
+        assert outcomes["error"] > 100 and outcomes["table"] >= 20
+        assert outcomes["ok"] > outcomes["table"]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_brackets_inside_lists_give_the_reference_shape(self, seed):
+        space = _space(seed)
+        rng = SplitMix64(200 + seed)
+        errors = set()
+        for _ in range(1500):
+            chars = list(_stmt_line(rng, space))
+            for _ in range(1 + rng.randrange(3)):
+                chars.insert(rng.randrange(len(chars) + 1),
+                             "[]{})"[rng.randrange(5)])
+            line = "".join(chars)
+            offset, query = rng.randrange(20), rng.coin()
+            got = _result(_shape, line, offset, query)
+            want = _result(_reference_shape, line, offset, query)
+            if want[0] == "error":
+                assert got == want, line
+                errors.add(want[1].split()[0])
+                continue
+            assert got[0] == "ok", line
+            assert (got[1].re is _STMT_RE, got[1].groupdict(), got[1].end()) \
+                == (want[1].re is _REFERENCE_STMT_RE, want[1].groupdict(),
+                    want[1].end()), line
+        assert errors == {"expected", "held", "trailing"}
