@@ -36,8 +36,7 @@ from .core import (LexModel, Outcome, PartialAssignment, TotalValueOrder,
                    VariableSpace)
 from .optimality import AlternativeSet
 from .rng import SplitMix64
-from .statements import (PrefStatement, StatementKind, canonicalize,
-                         negate_non_strict, satisfies)
+from .statements import PrefStatement, StatementKind, satisfies
 
 _KIND_ORDER = (StatementKind.FULLY_STRICT, StatementKind.WEAKLY_STRICT,
                StatementKind.NON_STRICT, StatementKind.NEGATED_NON_STRICT)
@@ -129,11 +128,17 @@ def gen_instance(cfg: GenConfig) -> GeneratedInstance:
 def _draw_statement(rng: SplitMix64, space: VariableSpace, hidden: LexModel,
                     stage_order: list[int], rankable: list[int],
                     kind: StatementKind, label: str) -> PrefStatement:
+    """One statement, built in the block form :func:`canonicalize` would
+    give its two sides: the agreement block is the agreed variables with
+    more than one value, the held set everything else before the cut plus
+    every one-value variable, and R and S the shared-difference values
+    followed by the left-only and right-only blocks."""
     c = rankable[rng.randrange(len(rankable))]
     pivot = stage_order[c]
     ranking = hidden.stages[c].ranking
 
     domains = space.domains
+    sing = space.singleton_mask
     held = 0
     agree: dict[int, int] = {}
     for pos in range(c):
@@ -141,7 +146,9 @@ def _draw_statement(rng: SplitMix64, space: VariableSpace, hidden: LexModel,
         if rng.coin():
             held |= 1 << x
         else:
-            agree[x] = rng.randrange(len(domains[x]))
+            v = rng.randrange(len(domains[x]))
+            if not sing >> x & 1:
+                agree[x] = v
 
     d = len(ranking)
     hi = rng.randrange(d - 1)
@@ -155,43 +162,30 @@ def _draw_statement(rng: SplitMix64, space: VariableSpace, hidden: LexModel,
     rng.shuffle(later)
     cursor = 0
 
-    shared: dict[int, tuple[int, int]] = {pivot: (r_pivot, s_pivot)}
+    r_vals = {pivot: r_pivot}
+    s_vals = {pivot: s_pivot}
     for _ in range(min(rng.geometric(), len(later) - cursor)):
         x = stage_order[later[cursor]]
         cursor += 1
         dx = len(domains[x])
         rv = rng.randrange(dx)
-        sv = (rv + 1 + rng.randrange(dx - 1)) % dx
-        shared[x] = (rv, sv)
+        r_vals[x] = rv
+        s_vals[x] = (rv + 1 + rng.randrange(dx - 1)) % dx
 
-    left_only: dict[int, int] = {}
-    right_only: dict[int, int] = {}
     if kind is not StatementKind.NEGATED_NON_STRICT:
         for _ in range(min(rng.geometric(), len(later) - cursor)):
             pos = later[cursor]
             cursor += 1
-            left_only[stage_order[pos]] = hidden.stages[pos].ranking[0]
+            r_vals[stage_order[pos]] = hidden.stages[pos].ranking[0]
         for _ in range(min(rng.geometric(), len(later) - cursor)):
             pos = later[cursor]
             cursor += 1
-            right_only[stage_order[pos]] = hidden.stages[pos].ranking[-1]
+            s_vals[stage_order[pos]] = hidden.stages[pos].ranking[-1]
 
-    p_vals = dict(agree)
-    p_vals.update({x: rv for x, (rv, _) in shared.items()})
-    p_vals.update(left_only)
-    q_vals = dict(agree)
-    q_vals.update({x: sv for x, (_, sv) in shared.items()})
-    q_vals.update(right_only)
-
-    inner_kind = (StatementKind.NON_STRICT
-                  if kind is StatementKind.NEGATED_NON_STRICT else kind)
-    st = canonicalize(space,
-                      PartialAssignment(space, p_vals),
-                      PartialAssignment(space, q_vals),
-                      held, inner_kind, label=label)
-    if kind is StatementKind.NEGATED_NON_STRICT:
-        st = negate_non_strict(st, label=label)
-    return st
+    return PrefStatement(space, kind, PartialAssignment(space, agree),
+                         PartialAssignment(space, r_vals),
+                         PartialAssignment(space, s_vals),
+                         held | sing, label=label)
 
 
 def _draw_alternatives(rng: SplitMix64, space: VariableSpace,

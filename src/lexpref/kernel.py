@@ -64,8 +64,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .core import VariableSpace
 from .statements import PrefStatement, StatementKind
 
@@ -106,8 +104,8 @@ class EncodedGamma:
     Builds the per-variable statement masks once; membership queries then
     pass extra outcome comparisons as rows of values instead of re-encoding
     the whole set.  The pair and pin tables come from the blocks' ``vals``;
-    the residual-block masks from a g-by-n bit matrix of the statements'
-    ``w_mask``, transposed and dropped once read.
+    the residual-block masks from one string of the statements' ``w_mask``
+    in binary, read a column at a time by slicing.
     """
 
     def __init__(self, space: VariableSpace,
@@ -145,14 +143,14 @@ class EncodedGamma:
                     bucket = worsts[x]
                     bucket[b] = bucket.get(b, 0) | bit
 
-        nbytes = (n + 7) // 8
-        bits = np.unpackbits(
-            np.frombuffer(b"".join(st.w_mask.to_bytes(nbytes, "little")
-                                   for st in self.statements),
-                          np.uint8).reshape(g, nbytes),
-            axis=1, count=n, bitorder="little")
-        columns = np.packbits(bits.T, axis=1, bitorder="little")
-        w = [int.from_bytes(column.tobytes(), "little") for column in columns]
+        # Row j of the string is statement g-1-j's w_mask in n binary
+        # digits, variable n-1 first, so every n-th character from n-1-x
+        # reads off variable x's bit of each statement, statement 0 last:
+        # the mask of the statements with x in their residual block.
+        row = f"0{n}b"
+        rows = "".join(format(st.w_mask, row)
+                       for st in reversed(self.statements))
+        w = [int(rows[n - 1 - x::n], 2) for x in range(n)] if g else [0] * n
 
         self.pairs = _tables(pairs)
         self.bests = _tables(bests)

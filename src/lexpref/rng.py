@@ -15,9 +15,13 @@ State transition (all arithmetic mod 2**64)::
 The state after ``k`` steps is ``seed + k * 0x9E3779B97F4A7C15``, so word
 ``k`` (counting from 1) is the mix of that sum alone and depends on no
 earlier word.  :class:`SplitMix64` uses this to compute its words in blocks
-of ``_BLOCK`` with one numpy ``uint64`` expression, whose arithmetic wraps
-mod 2**64 exactly as the scalar recurrence does; the stream is word for
-word the one above.
+of ``_BLOCK``, all in one Python int of 128-bit lanes, one word per lane.
+A lane holds its word masked to 64 bits before each multiply, so a 64-by-64
+bit product fits the lane and never carries into the next one; masking
+after each multiply and each xor-shift drops the product's high half and
+the bits a shift brings down from the next lane, so every lane wraps mod
+2**64 exactly as the scalar recurrence does; the stream is word for word
+the one above.
 
 Bounded draws use unbiased rejection sampling: draw 64-bit words until one
 falls below ``2**64 - (2**64 % k)``, then reduce modulo ``k``.
@@ -25,7 +29,7 @@ falls below ``2**64 - (2**64 % k)``, then reduce modulo ``k``.
 
 from __future__ import annotations
 
-import numpy as np
+import sys
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -33,11 +37,22 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 _BLOCK = 1024
-# word k of a block is mix(state + k * golden), k = 1 .. _BLOCK
-_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+_LANE = 128
+_NBYTES = _BLOCK * _LANE // 8
+_ONES = int.from_bytes((1).to_bytes(_LANE // 8, "little") * _BLOCK,
+                       "little")                       # 1 in every lane
+_LANES64 = _ONES * _MASK64                             # a lane's low 64 bits
+# word k of a block is mix(state + k * golden), k = 1 .. _BLOCK; lane i
+# holds word _BLOCK - i, so the lanes read out last word first
+_STEPS = int.from_bytes(b"".join(
+    ((_BLOCK - i) * _GOLDEN & _MASK64).to_bytes(_LANE // 8, "little")
+    for i in range(_BLOCK)), "little")
 _BLOCK_STEP = (_BLOCK * _GOLDEN) & _MASK64
-_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
-_UMIX1, _UMIX2 = np.uint64(_MIX1), np.uint64(_MIX2)
+# the lanes' low halves, in lane order, among the 64-bit words of the int's
+# bytes written in a given byte order and read in that same order
+_HALVES_BY_ORDER = {"little": slice(None, None, 2),
+                    "big": slice(None, None, -2)}
+_LOW_HALVES = _HALVES_BY_ORDER[sys.byteorder]
 
 # _LIMITS[k] is the rejection limit 2**64 - (2**64 % k) for 0 < k < _SMALL,
 # which covers almost every bound generation draws
@@ -64,12 +79,13 @@ class SplitMix64:
         self._buf: list[int] = []
 
     def _refill(self) -> None:
-        z = np.uint64(self._state) + _STEPS
-        z = (z ^ (z >> _U30)) * _UMIX1
-        z = (z ^ (z >> _U27)) * _UMIX2
-        z ^= z >> _U31
+        z = (_ONES * self._state + _STEPS) & _LANES64
+        z = (z ^ (z >> 30) & _LANES64) * _MIX1 & _LANES64
+        z = (z ^ (z >> 27) & _LANES64) * _MIX2 & _LANES64
+        z ^= z >> 31
         self._state = (self._state + _BLOCK_STEP) & _MASK64
-        self._buf.extend(z[::-1].tolist())
+        self._buf.extend(memoryview(z.to_bytes(_NBYTES, sys.byteorder))
+                         .cast("Q")[_LOW_HALVES].tolist())
 
     def next_u64(self) -> int:
         buf = self._buf

@@ -351,3 +351,39 @@ class TestExitCodes:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+_RUN_ALL_COMMANDS = """\
+import json, sys
+from lexpref.cli import main
+lex, csv = sys.argv[1:]
+codes = [
+    main(["gen", "--vars", "6", "--stmts", "8", "--alts", "5", "--seed", "3",
+          "-o", lex]),
+    main(["check", lex, "--json"]),
+    main(["optimal", lex, "--json"]),
+    main(["infer", lex, "--query", "[x1=v1] >= [x1=v2]"]),
+    main(["bench", "--vars", "4", "--stmts", "5", "--alts", "3", "--reps",
+          "1", "--seed", "1", "--no-timings", "-o", csv]),
+]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+class TestRuntimeImports:
+    def test_no_command_imports_numpy(self, tmp_path):
+        # the package has no third-party runtime dependency; a fresh
+        # process runs every command without loading numpy
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_ALL_COMMANDS,
+             str(tmp_path / "x.lpq"), str(tmp_path / "bench.csv")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["codes"][:3] == [0, 0, 0]
+        assert result["codes"][3] in (0, 1)     # entailed or not
+        assert result["codes"][4] == 0
+        assert result["numpy"] is False

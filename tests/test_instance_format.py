@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+import lexpref.instance
 from lexpref import (GenConfig, Instance, ParseError, PartialAssignment,
                      StatementKind, VariableSpace, canonicalize, consistent,
                      entails, format_instance, gen_instance, negate_non_strict,
@@ -476,6 +477,37 @@ class TestStatementRoute:
         # both readers and both outcomes are exercised
         assert outcomes["error"] > 100 and outcomes["table"] >= 20
         assert outcomes["ok"] > outcomes["table"]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_queries_read_in_full_as_by_table(self, seed, monkeypatch):
+        space = _space(seed)
+        items = _item_table(space)
+        inst = Instance(space=space, outcomes={}, statements=(),
+                        alt_names=())
+        rng = SplitMix64(300 + seed)
+        lines = [_stmt_line(rng, space) for _ in range(400)]
+        matches = [_shape(line, 0, query=True) for line in lines]
+        wants = [_result(_statement, match, space, items, {}, "query")
+                 for match in matches]
+        by_table = 0     # lines the table route read
+        for match in matches:
+            status, st = _result(_table_statement, match, space, items,
+                                 "query")
+            by_table += status == "ok" and st is not None
+
+        def no_table(space):
+            raise AssertionError("parse_query built an item table")
+
+        monkeypatch.setattr(lexpref.instance, "_item_table", no_table)
+        for line, (status, want) in zip(lines, wants):
+            if status == "ok":
+                kind, st = parse_query(inst, line)
+                assert kind == "stmt" and _blocks(st) == _blocks(want), line
+            else:
+                with pytest.raises(ParseError) as err:
+                    parse_query(inst, line)
+                assert str(err.value) == f"query: {want}", line
+        assert by_table >= 10 and sum(s == "error" for s, _ in wants) > 50
 
     @pytest.mark.parametrize("seed", range(3))
     def test_brackets_inside_lists_give_the_reference_shape(self, seed):

@@ -162,3 +162,25 @@ class TestWiderDomains:
             if want:
                 # one-value variables still join the maximal model
                 assert "unit" in res.v_gamma
+
+
+class TestResidualColumns:
+    # wblk and kill against a bit-by-bit transpose of the statements'
+    # residual blocks, across byte boundaries and with no statement at all
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 200])
+    @pytest.mark.parametrize("g", [0, 1, 3, 1000])
+    def test_masks_match_a_naive_transpose(self, n, g):
+        gen = gen_instance(GenConfig(n=n, g=max(g, 1), m=1, seed=n * g + 7))
+        gamma = gen.gamma[:g]
+        enc = EncodedGamma(gen.space, gamma)
+        neg = [st.kind is StatementKind.NEGATED_NON_STRICT for st in gamma]
+        for x in range(n):
+            w = [st.w_mask >> x & 1 for st in gamma]
+            both = [st.rs_mask >> x & 1 for st in gamma]
+            assert enc.wblk[x] == sum(
+                1 << j for j in range(g) if w[j] and not neg[j])
+            assert enc.kill[x] == sum(
+                1 << j for j in range(g) if both[j] or w[j] and neg[j])
+        if g == 1000 and n > 1:     # the residual masks are not all empty
+            assert any(enc.wblk) and any(neg)

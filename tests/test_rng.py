@@ -1,15 +1,18 @@
 """splitmix64 stream: published values and draw-for-draw parity.
 
-``SplitMix64`` computes its words in numpy blocks.  The reference here is
-the scalar counter form of the same stream, word k = mix(seed + k * golden)
-mod 2**64, with every bounded draw written out word by word, so a block
-boundary, a wrap-around or a rejected word that the blocks get wrong shows
-as a mismatch.
+``SplitMix64`` computes its words in blocks, one 128-bit lane of a Python
+int per word.  The reference here is the scalar counter form of the same
+stream, word k = mix(seed + k * golden) mod 2**64, with every bounded draw
+written out word by word, so a block boundary, a wrap-around or a rejected
+word that the blocks get wrong shows as a mismatch.
 """
+
+import struct
 
 import pytest
 
-from lexpref.rng import _BLOCK, _GOLDEN, _MASK64, SplitMix64, _mix
+from lexpref.rng import (_BLOCK, _GOLDEN, _HALVES_BY_ORDER, _MASK64, _NBYTES,
+                         SplitMix64, _mix)
 
 
 class Reference:
@@ -53,7 +56,9 @@ def test_published_values_for_seed_zero():
         0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 101, -1, 1 << 63])
+# the last seed's counter passes 0 mod 2**64 at word 500, in the first block
+@pytest.mark.parametrize("seed", [0, 1, 101, -1, 1 << 63,
+                                  (-500 * _GOLDEN) & _MASK64])
 def test_words_match_the_counter_form(seed):
     rng, ref = SplitMix64(seed), Reference(seed)
     count = 3 * _BLOCK + 7
@@ -86,6 +91,15 @@ def test_draws_match_across_block_boundaries(seed):
     # both streams consumed the same number of words
     assert rng.next_u64() == ref.next_u64()
     assert ref.k > 3 * _BLOCK
+
+
+@pytest.mark.parametrize("order", ["little", "big"])
+def test_low_halves_read_in_lane_order_on_either_byte_order(order):
+    # lane i holds i in its low half and a marker in its high half
+    z = sum((i | (_MASK64 - i) << 64) << 128 * i for i in range(_BLOCK))
+    words = struct.unpack(f"{'<' if order == 'little' else '>'}"
+                          f"{_NBYTES // 8}Q", z.to_bytes(_NBYTES, order))
+    assert list(words[_HALVES_BY_ORDER[order]]) == list(range(_BLOCK))
 
 
 def test_permutation_is_a_shuffled_range():
