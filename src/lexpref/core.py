@@ -51,7 +51,7 @@ class VariableSpace:
     deterministic output; it carries no preference meaning.
     """
 
-    __slots__ = ("variables", "domains", "dmax", "full_mask", "singleton_mask",
+    __slots__ = ("variables", "domains", "full_mask", "singleton_mask",
                  "_var_index", "_val_index", "_hash")
 
     def __init__(self, variables: Sequence[str],
@@ -73,7 +73,6 @@ class VariableSpace:
             extra = set(domains) - set(self.variables)
             raise ValueError(f"domains given for unknown variables: {sorted(extra)}")
         self.domains = tuple(doms)
-        self.dmax = max((len(d) for d in self.domains), default=1)
         self.full_mask = (1 << len(self.variables)) - 1
         self.singleton_mask = 0
         for i, d in enumerate(self.domains):

@@ -73,11 +73,10 @@ class ConsistencyResult:
             raise ValueError("verdict must match the failure list")
 
 
-def _model_from_arrays(space: VariableSpace, nstages, stage_vars,
+def _model_from_arrays(space: VariableSpace, stage_vars,
                        orders) -> LexModel:
-    return LexModel(space, tuple(
-        TotalValueOrder(space, x, orders[x][:space.domain_size(x)])
-        for x in stage_vars[:nstages]))
+    return LexModel(space, tuple(TotalValueOrder(space, x, orders[x])
+                                 for x in stage_vars))
 
 
 def consistent(space: VariableSpace, gamma: Sequence[PrefStatement],
@@ -102,8 +101,8 @@ def consistent_from_encoding(enc: EncodedGamma,
         for j, st in enumerate(enc.statements) if not statement_consistent(st))
     if failures:
         return ConsistencyResult(False, LexModel(space), failures, None, g)
-    ok, nstages, stage_vars, orders, fail, _, tests = enc.run()
-    witness = _model_from_arrays(space, nstages, stage_vars, orders)
+    ok, _, stage_vars, orders, fail, _, tests = enc.run()
+    witness = _model_from_arrays(space, stage_vars, orders)
     failures = tuple(
         StatementFailure(j, enc.statements[j], _REASON_BY_CODE[fail[j]])
         for j in range(g) if fail[j])
@@ -151,50 +150,48 @@ def _complete_order(d: int, pair_list: list[tuple[int, int]],
                     best: int | None, worst: int | None) -> list[int] | None:
     """Deterministic completion in the explicit reference form.
 
-    Checks the pin clashes one by one, then places a pinned best value
-    first, a pinned worst value last and the rest by smallest-index
-    topological order.  The kernel turns the pins into edges and runs one
-    topological pass instead; the orders agree, which tests check.
+    The required pairs become successor masks, bit b of ``succ[a]`` for
+    a above b.  The pin clashes are checked one by one against them; then
+    a pinned best value is placed first, a pinned worst value last and the
+    rest by smallest-index topological order over a ``ready`` mask.  The
+    kernel instead gives a pinned best an edge to every other value and a
+    pinned worst one extra edge in, and lets one topological pass meet the
+    clashes; the orders agree, which tests check.
     """
-    edge = [[False] * d for _ in range(d)]
+    succ = [0] * d
     indeg = [0] * d
-    for a, b in pair_list:
-        if not edge[a][b]:
-            edge[a][b] = True
-            indeg[b] += 1
+    for a, b in set(pair_list):
+        succ[a] |= 1 << b
+        indeg[b] += 1
     if best is not None and worst is not None and best == worst and d >= 2:
         return None
     if best is not None and indeg[best] > 0:
         return None
-    if worst is not None and any(edge[worst][b] for b in range(d)):
+    if worst is not None and succ[worst]:
         return None
-    placed = [False] * d
+    ready = (1 << d) - 1    # the unpinned values with no pair into them
+    for s in succ + [1 << a for a in (best, worst) if a is not None]:
+        ready &= ~s
     out: list[int] = []
-    if best is not None:
-        placed[best] = True
-        out.append(best)
-        for b in range(d):
-            if edge[best][b]:
-                indeg[b] -= 1
-    nmid = d - len(out) - (0 if worst is None else 1)
-    for _ in range(nmid):
-        pick = -1
-        for a in range(d):
-            if placed[a] or a == worst:
-                continue
-            if indeg[a] == 0:
-                pick = a
-                break
-        if pick == -1:
-            return None
-        placed[pick] = True
-        out.append(pick)
-        for b in range(d):
-            if edge[pick][b]:
-                indeg[b] -= 1
+    a = best      # placed first when pinned, then the lowest ready value
+    while a is not None or ready:
+        if a is None:
+            low = ready & -ready
+            ready ^= low
+            a = low.bit_length() - 1
+        out.append(a)
+        s = succ[a]
+        while s:
+            low = s & -s
+            b = low.bit_length() - 1
+            indeg[b] -= 1
+            if indeg[b] == 0 and b != worst:
+                ready |= low
+            s ^= low
+        a = None
     if worst is not None:
         out.append(worst)
-    return out
+    return out if len(out) == d else None
 
 
 def valid_extension(space: VariableSpace, gamma: Sequence[PrefStatement],

@@ -12,6 +12,14 @@ model answers is one run: about 29 runs per ``optimal`` op on the
 benchmark's desk grid, and 13,736 over the 90 instances (m=100) of the
 desk-scale acceptance test.
 
+The value graph of a candidate with d values is d successor masks, bit b
+of ``succ[a]`` for the edge a -> b: a pair or a row sets one bit and a
+pinned best one mask.  The Kahn pass takes the lowest bit of ``ready``,
+the values no unplaced value has an edge into, each time; a pinned worst
+value is held out of it by one extra edge in and placed last once every
+other value is.  A try is thus a number of steps linear in d plus the
+live edges, each step one operation on an int of at most d bits.
+
 The per-statement state of a run is two Python ints, bit j for statement
 j: ``active`` (live: both-difference block untouched, or for a negation,
 not yet witnessed) and ``touched`` (some difference variable entered the
@@ -48,16 +56,17 @@ model, and while there it requires its pair on every candidate.  A strict
 row still undecided at the end is never witnessed.
 
 A run returns ``(ok, stage_count, stage_vars, orders, fail, xfail,
-tests)``, the middle four as lists (``orders[x]`` is variable x's ranking,
-padded with -1 to ``dmax``), where ``fail`` codes are 0 ok, 2 strictness
-never witnessed (both difference blocks), 3 strictness never witnessed
-(either block), 4 negation never witnessed, ``xfail`` marks each undecided
-row of a strict run with 2, and ``tests`` counts elementary constraint
-evaluations as a scan of one entry per statement, in statement order,
-would: one per candidate, then unless it is blocked all its pair entries,
-each undecided row, and its pin entries up to the first live one whose
-value differs from the first live one's; and one per statement and per
-undecided row at the end.
+tests)``: ``stage_vars`` lists the model's variables in stage order,
+``orders[x]`` is variable x's ranking, best first, and empty when x is
+outside the model, ``fail`` codes are 0 ok, 2 strictness never witnessed
+(both difference blocks), 3 strictness never witnessed (either block), 4
+negation never witnessed, ``xfail`` marks each undecided row of a strict
+run with 2, and ``tests`` counts elementary constraint evaluations as a
+scan of one entry per statement, in statement order, would: one per
+candidate, then unless it is blocked all its pair entries, each undecided
+row, and its pin entries up to the first live one whose value differs from
+the first live one's; and one per statement and per undecided row at the
+end.
 """
 
 from __future__ import annotations
@@ -170,7 +179,7 @@ class EncodedGamma:
         values ``xright[k]``, every row strictly when ``strict``.
         """
         space = self.space
-        n, dmax, domains = space.n, space.dmax, space.domains
+        n, domains = space.n, space.domains
         g = len(self.statements)
         pairs, bests, worsts = self.pairs, self.bests, self.worsts
         wblk, kill, touch = self.wblk, self.kill, self.touch
@@ -178,43 +187,29 @@ class EncodedGamma:
         active = (1 << g) - 1
         touched = 0
         live = list(range(len(xleft)))   # rows equal on every model variable
-        in_model = [False] * n
-
-        orders = [[-1] * dmax for _ in range(n)]
-        stage_vars = [-1] * n
-        nstages = 0
+        orders: list[list[int]] = [[] for _ in range(n)]
+        stage_vars: list[int] = []
         tests = 0
 
-        edge = [[False] * dmax for _ in range(dmax)]
-        indeg = [0] * dmax
-        result = [0] * dmax
-
         while True:
-            appended = False
             for x in range(n):
-                if in_model[x]:
+                if orders[x]:
                     continue
                 tests += 1
                 if wblk[x] & active:
                     continue
                 d = len(domains[x])
-                for a in range(d):
-                    indeg[a] = 0
-                    row = edge[a]
-                    for b in range(d):
-                        row[b] = False
+                succ = [0] * d      # bit b of succ[a]: the edge a -> b
                 every, entries = pairs[x]
                 tests += every.bit_count() + len(live)
                 for (a, b), mask in entries:
-                    if mask & active and not edge[a][b]:
-                        edge[a][b] = True
-                        indeg[b] += 1
+                    if mask & active:
+                        succ[a] |= 1 << b
                 for kx in live:
                     a = xleft[kx][x]
                     b = xright[kx][x]
-                    if a != b and not edge[a][b]:
-                        edge[a][b] = True
-                        indeg[b] += 1
+                    if a != b:
+                        succ[a] |= 1 << b
                 best, scanned = _pinned(bests[x], active)
                 tests += scanned
                 if best == -2:
@@ -223,44 +218,50 @@ class EncodedGamma:
                 tests += scanned
                 if worst == -2:
                     continue
-                # Pins become edges, so a clash closes a cycle.
-                for a in range(d):
-                    if best != -1 and a != best and not edge[best][a]:
-                        edge[best][a] = True
-                        indeg[a] += 1
-                    if worst != -1 and a != worst and not edge[a][worst]:
-                        edge[a][worst] = True
-                        indeg[worst] += 1
-                # Smallest-index Kahn pass; a placed value's indeg becomes -1.
-                pos = 0
-                while pos < d:
-                    pick = -1
-                    for a in range(d):
-                        if indeg[a] == 0:
-                            pick = a
-                            break
-                    if pick == -1:
-                        break
-                    indeg[pick] = -1
-                    result[pos] = pick
-                    pos += 1
-                    row = edge[pick]
-                    for b in range(d):
-                        if row[b]:
-                            indeg[b] -= 1
-                if pos < d:
+                # A pinned best becomes edges to every other value, so a
+                # clash closes a cycle; a pinned worst gets one more edge
+                # in, which only the end of the pass releases.
+                if best >= 0:
+                    succ[best] |= (1 << d) - 1 ^ 1 << best
+                # Smallest-index Kahn pass: ``ready`` holds the unplaced
+                # values no unplaced value has an edge into.
+                indeg = [0] * d
+                ready = (1 << d) - 1
+                for s in succ:
+                    ready &= ~s
+                    while s:
+                        low = s & -s
+                        indeg[low.bit_length() - 1] += 1
+                        s ^= low
+                if worst >= 0:
+                    indeg[worst] += 1
+                    ready &= ~(1 << worst)
+                order = []
+                while ready:
+                    low = ready & -ready
+                    ready ^= low
+                    a = low.bit_length() - 1
+                    order.append(a)
+                    s = succ[a]
+                    while s:
+                        low = s & -s
+                        b = low.bit_length() - 1
+                        indeg[b] -= 1
+                        if not indeg[b]:
+                            ready |= low
+                        s ^= low
+                if worst >= 0:      # last, if the pass placed the rest
+                    order.append(worst)
+                if len(order) < d:
                     continue
 
-                in_model[x] = True
-                stage_vars[nstages] = x
-                nstages += 1
-                orders[x][:d] = result[:d]
+                stage_vars.append(x)
+                orders[x] = order
                 touched |= touch[x]
                 active &= ~kill[x]
                 live = [kx for kx in live if xleft[kx][x] == xright[kx][x]]
-                appended = True
                 break
-            if not appended:
+            else:
                 break
 
         unmet = ((2, self.full & active), (3, self.weak & ~touched),
@@ -278,7 +279,8 @@ class EncodedGamma:
                 xfail[kx] = 2
         tests += g + len(live)
         ok = not any(mask for _, mask in unmet) and not (strict and live)
-        return (1 if ok else 0), nstages, stage_vars, orders, fail, xfail, tests
+        return ((1 if ok else 0), len(stage_vars), stage_vars, orders, fail,
+                xfail, tests)
 
 
 # backend_name stays only because perfbench/run.py imports it.

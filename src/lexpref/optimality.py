@@ -134,12 +134,14 @@ def _ranked_groups(values: Sequence[tuple[int, ...]],
 
     Each of the model's ``(variable, best-first order)`` ``stages`` splits
     every group, kept in increasing positions, by the ranks of the values
-    present (``order`` may be padded), until every group has one member.
+    present, read from a position table of the order, until every group
+    has one member.
     """
     groups = [list(range(len(values)))]
     for x, order in stages:
         if len(groups) == len(values):
             break
+        rank = dict(zip(order, range(len(order))))
         refined = []
         for group in groups:
             if len(group) == 1:
@@ -148,7 +150,7 @@ def _ranked_groups(values: Sequence[tuple[int, ...]],
             split: dict[int, list[int]] = {}
             for p in group:
                 split.setdefault(values[p][x], []).append(p)
-            refined.extend(split[v] for v in sorted(split, key=order.index))
+            refined.extend(split[v] for v in sorted(split, key=rank.get))
         groups = refined
     return groups
 
@@ -185,10 +187,10 @@ class _MembershipRun:
     def __init__(self, space: VariableSpace, gamma: Sequence[PrefStatement],
                  alternatives: AlternativeSet):
         self.enc = EncodedGamma(space, gamma)
-        ok, nstages, stage_vars, orders, *_ = self.enc.run()
+        ok, _, stage_vars, orders, *_ = self.enc.run()
         if ok != 1:
             raise InconsistentError("statement set has no model")
-        stages = [(x, orders[x]) for x in stage_vars[:nstages]]
+        stages = [(x, orders[x]) for x in stage_vars]
         groups = _ranked_groups([o.values for o in alternatives], stages)
         self.eq_classes = tuple(tuple(group) for group in sorted(groups))
         self.reps = [cls[0] for cls in self.eq_classes]
@@ -216,11 +218,11 @@ class _MembershipRun:
 
         One kernel run; the model it returns, if any, is recorded.
         """
-        ok, nstages, stage_vars, orders, *_ = self.enc.run(left, right, strict)
+        ok, _, stage_vars, orders, *_ = self.enc.run(left, right, strict)
         if ok != 1:
             return False
         self._record(_ranked_groups(
-            self.rep_values, [(x, orders[x]) for x in stage_vars[:nstages]]))
+            self.rep_values, [(x, orders[x]) for x in stage_vars]))
         return True
 
     def _one_vs_rest(self, rep_pos: int, strict: bool) -> bool:

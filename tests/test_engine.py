@@ -248,8 +248,8 @@ class TestConsistent:
         run = EncodedGamma.run
 
         def early_stop(self, *args):
-            ok, nstages, *rest = run(self, *args)
-            return (ok, nstages - 1, *rest)
+            ok, nstages, stage_vars, *rest = run(self, *args)
+            return (ok, nstages - 1, stage_vars[:-1], *rest)
 
         monkeypatch.setattr(EncodedGamma, "run", early_stop)
         assert consistent(space, gamma, verify=False).v_gamma == {"x", "y"}
@@ -295,15 +295,19 @@ class TestConsistent:
             if res.consistent:
                 assert all(satisfies(res.witness, st) for st in gamma)
 
-    @pytest.mark.parametrize("max_vars, max_domain, max_statements",
-                             [(5, 4, 6), (4, 9, 12)])
-    def test_kernel_matches_reference_greedy(self, max_vars, max_domain,
-                                             max_statements):
-        # the wide case meets pin/pair clashes on domains of up to nine values
+    @pytest.mark.parametrize("max_vars, min_domain, max_domain, "
+                             "max_statements",
+                             [(5, 2, 4, 6), (4, 2, 9, 12), (3, 65, 70, 12)])
+    def test_kernel_matches_reference_greedy(self, max_vars, min_domain,
+                                             max_domain, max_statements):
+        # the wider cases meet pin/pair clashes on domains of up to nine
+        # values, and on domains of 65 to 70 values, whose successor masks
+        # span more than one machine word
         rng = SplitMix64(223)
         done = 0
         while done < 400:
-            space = small_space(rng, max_vars=max_vars, max_domain=max_domain)
+            space = small_space(rng, max_vars=max_vars, min_domain=min_domain,
+                                max_domain=max_domain)
             gamma = [st for st in random_gamma(rng, space, max_statements)
                      if statement_consistent(st)]
             if not gamma:

@@ -1,14 +1,17 @@
 """Comparison rows against statements, unsatisfiable rows and the kernel
 on wider domains."""
 
+import tracemalloc
+
 import pytest
 
 from helpers import (random_gamma, random_outcome, random_statement,
                      small_space)
-from lexpref import (GenConfig, StatementKind, VariableSpace,
-                     brute_consistent, canonicalize, consistent,
-                     gen_instance, negate_non_strict, outcome_comparison,
-                     satisfies, statement_consistent)
+from lexpref import (FailureReason, GenConfig, LexModel, StatementKind,
+                     VariableSpace, brute_consistent, canonicalize,
+                     consistent, gen_instance, negate_non_strict,
+                     outcome_comparison, parse_instance, satisfies,
+                     statement_consistent, valid_extension)
 from lexpref.engine import consistent_with_comparisons
 from lexpref.kernel import EncodedGamma
 from lexpref.rng import SplitMix64, derive_seed
@@ -162,6 +165,62 @@ class TestWiderDomains:
             if want:
                 # one-value variables still join the maximal model
                 assert "unit" in res.v_gamma
+
+
+class TestFourThousandValues:
+    # one 4,000-value variable: a check must stay within a few MiB, which
+    # a d x d value graph (some 120 MiB at this size) would not
+
+    D = 4000
+    HEAD = ("var x: " + ", ".join(f"v{i}" for i in range(D))
+            + "\nvar y: a, b\n")
+
+    @staticmethod
+    def checked(text):
+        """The parsed instance and its verified ``consistent`` result,
+        whose traced allocation peak must stay under 8 MiB."""
+        instance = parse_instance(text)
+        tracemalloc.start()
+        try:
+            res = consistent(instance.space, instance.statements)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        return instance, res
+
+    def test_x_appended(self):
+        # x takes a pair, a pinned best v7 and a pinned worst v3998; y's
+        # two pairs clash, so the strict statement on y is never witnessed
+        d = self.D
+        instance, res = self.checked(self.HEAD + f"""\
+stmt s0: [x=v{d - 1}] > [x=v0] || {{y}}
+stmt s1: [x=v7, y=a] >= [y=b] || {{}}
+stmt s2: [y=b] >= [x=v{d - 2}, y=a] || {{}}
+stmt s3: [y=a] > [y=b] || {{x}}
+""")
+        ranking = (7, *range(1, 7), *range(8, d - 2), d - 1, 0, d - 2)
+        assert [(st.variable, st.ranking)
+                for st in res.witness.stages] == [("x", ranking)]
+        assert [(f.label, f.reason) for f in res.failures] == [
+            ("s3", FailureReason.NEEDS_DIFFERENCE_STAGE)]
+        assert (res.consistent, res.test_count) == (False, 20)
+        # the reference completion ranks x the same way
+        assert valid_extension(instance.space, instance.statements,
+                               LexModel(instance.space),
+                               "x") == res.witness.stages[0]
+
+    def test_x_blocked(self):
+        # x's two opposite pairs stay live, so x never enters the model and
+        # the verifying check sends it through the reference completion
+        _, res = self.checked(self.HEAD + """\
+stmt s0: [x=v0] >= [x=v1] || {y}
+stmt s1: [x=v1] >= [x=v0] || {y}
+stmt s2: [y=a] > [y=b] || {x}
+""")
+        assert [(st.variable, st.ranking_names())
+                for st in res.witness.stages] == [("y", ("a", "b"))]
+        assert (res.consistent, res.failures, res.test_count) == (True, (), 17)
 
 
 class TestResidualColumns:

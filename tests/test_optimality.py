@@ -331,10 +331,10 @@ class TestCertificates:
 
             def recording(self, *args, **kwargs):
                 result = original(self, *args, **kwargs)
-                ok, nstages, stage_vars, orders, *_ = result
+                ok, _, stage_vars, orders, *_ = result
                 if ok == 1:
-                    models.append(_model_from_arrays(space, nstages,
-                                                     stage_vars, orders))
+                    models.append(_model_from_arrays(space, stage_vars,
+                                                     orders))
                 return result
 
             with monkeypatch.context() as patch:
