@@ -68,6 +68,32 @@ def _write_output(path: str, text: str) -> None:
         raise LexPrefError(f"cannot write {path}: {exc.strerror}") from exc
 
 
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_indented(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for a tree of dicts
+    with string keys and lists over strings and other JSON scalars.
+
+    Given an indent, the stdlib encodes with its pure-Python encoder; this
+    writes each container with one join instead, and only scalars other
+    than strings through :func:`json.dumps`.
+    """
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if not value or (kind is not list and kind is not dict):
+        return json.dumps(value)
+    inner = indent + "  "
+    if kind is dict:
+        parts = [f"{_json_str(k)}: {_json_indented(v, inner)}"
+                 for k, v in value.items()]
+        return "{" + inner + f",{inner}".join(parts) + indent + "}"
+    parts = [_json_str(v) if type(v) is str else _json_indented(v, inner)
+             for v in value]
+    return "[" + inner + f",{inner}".join(parts) + indent + "]"
+
+
 def _witness_json(result) -> list[list]:
     return [[st.variable, list(st.ranking_names())]
             for st in result.witness.stages]
@@ -87,7 +113,7 @@ def cmd_check(args) -> int:
             "statement_count": len(instance.statements),
             "test_count": result.test_count,
         }
-        print(json.dumps(payload, indent=2))
+        print(_json_indented(payload))
     else:
         print("consistent" if result.consistent else "inconsistent")
         print(f"witness: {result.witness.format()}")

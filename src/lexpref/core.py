@@ -10,13 +10,19 @@ Variables and values are interned to small integer indices at space
 construction; sets of variables are plain int bitmasks so membership and
 intersection tests in inner loops are single machine operations.  All value
 types in this module are immutable after construction and safe to share
-across threads.
+across threads.  Two fill a derived field once, on first read, and never
+change it after: a :class:`LexModel` its stage index
+(:meth:`LexModel.stage_index`), and the agreement block of a statement
+read by table from a file (a :class:`PartialAssignment` subclass in
+:mod:`lexpref.instance`) its ``vals``.  Two threads that fill one at once
+compute equal values.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from itertools import product
+from itertools import accumulate, product
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -313,7 +319,7 @@ class TotalValueOrder:
 class LexModel:
     """A (possibly empty) sequence of stages over pairwise distinct variables."""
 
-    __slots__ = ("space", "stages", "vmask")
+    __slots__ = ("space", "stages", "vmask", "_stage_index")
 
     def __init__(self, space: VariableSpace,
                  stages: Sequence[TotalValueOrder] = ()):
@@ -334,6 +340,23 @@ class LexModel:
     @property
     def variables(self) -> frozenset[str]:
         return self.space.names_of(self.vmask)
+
+    def stage_index(self) -> tuple[list[int], dict[int, TotalValueOrder]]:
+        """``(prefix, stage_of)``, built on the first call and kept.
+
+        ``prefix[k]`` is the mask of the first ``k`` stages' variables, for
+        k from 0 to ``len(self)``; ``stage_of`` maps each model variable to
+        its stage.
+        """
+        try:
+            return self._stage_index
+        except AttributeError:
+            pass
+        stages = self.stages
+        index = self._stage_index = (
+            list(accumulate((1 << st.var for st in stages), or_, initial=0)),
+            {st.var: st for st in stages})
+        return index
 
     def key(self, outcome: Outcome) -> tuple[int, ...]:
         """Stage-wise rank vector; lexicographically smaller means better."""

@@ -85,8 +85,9 @@ def consistent(space: VariableSpace, gamma: Sequence[PrefStatement],
 
     With ``verify`` on (the default for one-shot calls), the witness model
     is re-checked against every statement through the independent
-    stage-walk test, and every variable outside it must admit no valid
-    extension; a mismatch would be an engine bug and raises.
+    satisfaction test (:func:`lexpref.statements.satisfies`), and every
+    variable outside it must admit no valid extension; a mismatch would be
+    an engine bug and raises.
     """
     return consistent_from_encoding(EncodedGamma(space, gamma), verify=verify)
 
@@ -111,8 +112,8 @@ def consistent_from_encoding(enc: EncodedGamma,
         for j, st in enumerate(enc.statements):
             if satisfies(witness, st) != (fail[j] == 0):
                 raise RuntimeError(
-                    f"internal error: witness disagrees with stage-walk test "
-                    f"on statement {st.label or j}")
+                    f"internal error: witness disagrees with the "
+                    f"satisfaction test on statement {st.label or j}")
         tests += g
         # maximality: not counted in test_count, which check --json prints
         for x in iter_bits(space.full_mask & ~witness.vmask):

@@ -30,10 +30,12 @@ Lists spelled as :func:`format_instance` writes them (items joined by
 ``", "``, no blank next to a bracket or brace, one blank after an
 ``outcome`` line's colon) are read by table: each item, with one blank
 before it, is looked up once in tables built per parse, and a statement's
-agreement, left and right blocks are split by item text before any
-lookup.  Every other spelling, and every list with an unknown name, a
-repeated variable, a one-value variable on a side or a held name that
-overlaps a side, is read by the full reader (:func:`_assignment`, then
+left and right blocks are split from its agreement block by item text
+before any lookup.  The agreement block's values are read from the text
+only when asked for; a consistency check reads only its mask.  Every
+other spelling, and every list with an unknown name, a repeated
+variable, a one-value variable on a side or a held name that overlaps a
+side, is read by the full reader (:func:`_assignment`, then
 :func:`lexpref.statements.canonicalize`), which gives the same result and
 every error message.
 """
@@ -160,42 +162,81 @@ def _table_statement(match: re.Match, space: VariableSpace, items: _Items,
     """The statement a ``_STMT_RE`` match spells, read by table; ``None``
     when the full reader must read it.
 
-    The agreement block is p's items that q also holds, found by text.
-    Each mask is a sum of bits, so a variable repeated within a block
-    shows as a popcount short of the block's length, one repeated across
-    blocks as an overlap, and an item of p that q repeats as a q longer
-    than its agreement and right blocks.
+    The left block is p's items that q does not hold and the right block
+    q's items that p does not hold, found by text; the agreement block is
+    the rest of p.  Only its mask is computed here: its values are read
+    from p's text when first asked for (:func:`_agreement`).  Each mask is
+    a sum of bits, so a variable repeated within a side shows as a
+    popcount short of the side's length, one on both sides as an overlap,
+    and an item of p that q repeats as a q longer than its agreement and
+    right blocks.
     """
     kind = _OPS[match["op"]]
     if match["neg"] is not None:
         if kind is not StatementKind.NON_STRICT:
             return None
         kind = StatementKind.NEGATED_NON_STRICT
-    p, q, held = _items(match["p"]), _items(match["q"]), _items(match["t"])
-    in_q = set(q).__contains__
-    u = [*filter(in_q, p)]
-    r = [*filterfalse(in_q, p)]
-    s = [*filterfalse(set(p).__contains__, q)]
+    p_text, q_text, t_text = match.group("p", "q", "t")
+    p, q, held = _items(p_text), _items(q_text), _items(t_text)
+    s_set = set(q)
+    r = [*filterfalse(s_set.__contains__, p)]
+    s_set.difference_update(p)
+    s = [*filter(s_set.__contains__, q)] if s_set else []
     bit = items.bit.__getitem__
     try:
-        u_mask, r_mask, s_mask = (sum(map(bit, u)), sum(map(bit, r)),
+        p_mask, r_mask, s_mask = (sum(map(bit, p)), sum(map(bit, r)),
                                   sum(map(bit, s)))
         t_mask = sum(map(items.held.__getitem__, held))
     except KeyError:
         return None
-    if (len(u) + len(s) != len(q)
-            or u_mask.bit_count() + r_mask.bit_count() + s_mask.bit_count()
-            + t_mask.bit_count() != len(p) + len(s) + len(held)
-            or u_mask & (r_mask | s_mask | t_mask)
-            or t_mask & (r_mask | s_mask)):
+    u_mask = p_mask ^ r_mask
+    p_len, s_len = len(p), len(s)
+    if (p_len - len(r) + s_len != len(q)
+            or p_mask.bit_count() != p_len
+            or s_mask.bit_count() != s_len
+            or t_mask.bit_count() != len(held)
+            or u_mask & s_mask
+            or t_mask & (p_mask | s_mask)):
         return None
     pair = items.pair.__getitem__
     return PrefStatement(
-        space, kind,
-        PartialAssignment._trusted(space, dict(map(pair, u)), u_mask),
+        space, kind, _Agreement(space, u_mask, p_text, r_mask),
         PartialAssignment._trusted(space, dict(map(pair, r)), r_mask),
         PartialAssignment._trusted(space, dict(map(pair, s)), s_mask),
         t_mask | space.singleton_mask, label=label)
+
+
+class _Agreement(PartialAssignment):
+    """The agreement block of a statement read by table.
+
+    Its mask is set at once; its values are read from the left side's
+    text, with the left block's variables dropped, the first time they are
+    asked for (:func:`_agreement`), which a consistency check never does.
+    """
+
+    __slots__ = ("_text", "_drop")
+
+    def __init__(self, space: VariableSpace, mask: int, text: str,
+                 drop: int):
+        self.space = space
+        self.mask = mask
+        self._text = text
+        self._drop = drop
+
+    def __getattr__(self, name: str):
+        # reached only while a slot is empty, so ``vals`` is read once
+        if name != "vals":
+            raise AttributeError(name)
+        vals = self.vals = _agreement(self.space, self._text, self._drop)
+        return vals
+
+
+def _agreement(space: VariableSpace, p_text: str,
+               r_mask: int) -> dict[int, int]:
+    """The agreement block's values: p's, read in full, minus R's, in p's
+    order."""
+    return {i: v for i, v in space.partial(_assignment(p_text)).vals.items()
+            if not r_mask >> i & 1}
 
 
 def _outcome_line(space: VariableSpace, items: _Items,
@@ -232,17 +273,17 @@ def _shape(text: str, offset: int, query: bool) -> re.Match:
     if match.re is _STMT_RE:
         # A '[' in a side matches no shape.  A held set ends at a '{' as at
         # a missing '}', unless a negation then has no ')' before the '{'
-        # to close on.
-        held = match["t"]
-        brace = -1 if held is None else held.find("{")
-        if "[" in match["p"] or "[" in match["q"] or (
-                brace >= 0 and match["neg"] is not None
-                and ")" not in held[:brace]):
+        # to close on.  Each list is searched in place, not copied.
+        held_at, held_end = match.span("t")
+        brace = -1 if held_at < 0 else text.find("{", held_at, held_end)
+        if (text.find("[", *match.span("p")) >= 0
+                or text.find("[", *match.span("q")) >= 0
+                or (brace >= 0 and match["neg"] is not None
+                    and text.find(")", held_at, brace) < 0)):
             raise ValueError(shapes)
-        if held is not None and (brace >= 0 or not match["close"]):
+        if held_at >= 0 and (brace >= 0 or match["close"] is None):
             raise ValueError(f"held set opened at column "
-                             f"{offset + match.start('t')} lacks its "
-                             f"closing '}}'")
+                             f"{offset + held_at} lacks its closing '}}'")
     if match.end() < len(text):
         raise ValueError(
             f"trailing input at column {offset + match.end() + 1}")

@@ -17,13 +17,17 @@ Statements are kept in a canonical block form.  Writing the left side as
 
 Variables with a one-value domain always sit in ``T``; this makes the
 representation unique.  Satisfaction of a statement by a model is decided
-by a single walk down the model's stages (never by enumerating the
-statement's outcome pairs), and the derived relation ``satisfies_star``
-asks whether some extension of the model satisfies the statement.
+at the statement's deciding stage (never by enumerating its outcome
+pairs): the model's first stage on a ``W`` variable or on one in both
+difference blocks, found by a binary search over the model's stage-prefix
+masks, once the ``R``-only and ``S``-only variables staged before it are
+checked to pin their values.  The derived relation ``satisfies_star`` asks
+whether some extension of the model satisfies the statement.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import Enum
 from itertools import filterfalse, product
 from typing import Iterable, NamedTuple
@@ -64,19 +68,19 @@ class PrefStatement:
                  s: PartialAssignment, t_mask: int, label: str | None = None):
         u_mask, r_mask, s_mask = u.mask, r.mask, s.mask
         rs_union = r_mask | s_mask
-        if (u_mask & t_mask) or (u_mask & rs_union) or (t_mask & rs_union):
+        if (u_mask & t_mask) | ((u_mask | t_mask) & rs_union):
             raise ValueError("blocks U, T and R|S must be pairwise disjoint")
         if t_mask & ~space.full_mask:
             raise ValueError("held-constant set mentions unknown variables")
-        if space.singleton_mask & (u_mask | rs_union):
+        if space.singleton_mask & (u_mask | rs_union | ~t_mask):
             raise ValueError("one-value variables belong in the held set")
-        if space.singleton_mask & ~t_mask:
-            raise ValueError("one-value variables belong in the held set")
-        for i in iter_bits(r_mask & s_mask):
-            if r.vals[i] == s.vals[i]:
+        if r_mask & s_mask:
+            # a (variable, value) item on both sides
+            same = r.vals.items() & s.vals.items()
+            if same:
                 raise ValueError(
-                    f"sides agree on {space.variables[i]!r}; that variable "
-                    f"belongs in the agreement block")
+                    f"sides agree on {space.variables[min(same)[0]]!r}; "
+                    f"that variable belongs in the agreement block")
         if kind is StatementKind.NEGATED_NON_STRICT and r_mask != s_mask:
             raise ValueError(
                 "only non-strict statements with matching difference "
@@ -91,7 +95,7 @@ class PrefStatement:
         self.r_mask = r_mask
         self.s_mask = s_mask
         self.rs_mask = r_mask & s_mask
-        self.w_mask = space.full_mask & ~(u_mask | t_mask | rs_union)
+        self.w_mask = space.full_mask ^ (u_mask | t_mask | rs_union)
         self.label = label
 
     @property
@@ -198,45 +202,47 @@ def statement_consistent(statement: PrefStatement) -> bool:
 
 
 def _nonstrict_holds(model: LexModel, st: PrefStatement) -> bool:
-    """Stage-walk satisfaction test for the non-strict reading of ``st``.
+    """Satisfaction test for the non-strict reading of ``st``.
 
-    Walk the stages in order, skipping held/agreement variables.  The walk
-    ends at the first variable that decides the statement outright: a
-    residual (W) variable falsifies it, a variable in both difference sets
-    settles it by the required value order.  Variables met before that
-    point must put the left value on top (R only) or the right value at
-    the bottom (S only).
+    The statement's deciding stage is the model's first stage on a
+    variable that decides it outright: a residual (W) variable falsifies
+    it, a variable in both difference sets settles it by the required
+    value order.  A binary search over the model's stage-prefix masks
+    finds it.  Variables staged before it must put the left value on top
+    (R only) or the right value at the bottom (S only); held and agreement
+    variables are never read.
     """
-    skip = st.t_mask | st.u_mask
-    rs = st.rs_mask
+    prefix, stage_of = model.stage_index()
+    stop = st.w_mask | st.rs_mask
+    # prefix[0] is empty, so k >= 1; k == len(prefix) when nothing stops
+    k = bisect_left(prefix, 1, key=stop.__and__)
+    before = prefix[k - 1]
     r_mask = st.r_mask
-    s_mask = st.s_mask
-    w_mask = st.w_mask
-    rvals = st.r.vals
-    svals = st.s.vals
-    for stage in model.stages:
-        bit = 1 << stage.var
-        if bit & skip:
-            continue
-        if bit & w_mask:
+    pins = (r_mask ^ st.s_mask) & before      # R only or S only
+    while pins:
+        low = pins & -pins
+        x = low.bit_length() - 1
+        ranking = stage_of[x].ranking
+        if (ranking[0] != st.r.vals[x] if r_mask & low
+                else ranking[-1] != st.s.vals[x]):
             return False
-        if bit & rs:
-            rank = stage.rank_of
-            return rank[rvals[stage.var]] < rank[svals[stage.var]]
-        if bit & r_mask:
-            if stage.ranking[0] != rvals[stage.var]:
-                return False
-        elif bit & s_mask:
-            if stage.ranking[-1] != svals[stage.var]:
-                return False
-    return True
+        pins ^= low
+    if k == len(prefix):
+        return True
+    stage = model.stages[k - 1]
+    x = stage.var
+    if st.w_mask >> x & 1:
+        return False
+    rank = stage.rank_of
+    return rank[st.r.vals[x]] < rank[st.s.vals[x]]
 
 
 def satisfies(model: LexModel, statement: PrefStatement) -> bool:
     """Whether the model satisfies the statement.
 
-    Runs in O(model length) per statement after O(1) bitmask
-    classification per variable.
+    Decided at the statement's deciding stage, found by a binary search
+    over the model's stage-prefix masks (built once per model), after one
+    check per R-only or S-only variable staged before it.
     """
     kind = statement.kind
     if kind is StatementKind.NON_STRICT:

@@ -4,7 +4,8 @@ The random statement generator here is intentionally different from the
 package's planted-model generator: it draws arbitrary block structures with
 no consistency guarantee, so sweeps exercise inconsistent sets too.
 ``reference_encoding`` is the independent reference for the kernel tables
-``EncodedGamma`` builds.
+``EncodedGamma`` builds, and ``reference_satisfies`` the stage-by-stage
+walk that ``lexpref.satisfies`` must agree with.
 """
 
 from __future__ import annotations
@@ -156,3 +157,44 @@ def reference_encoding(space: VariableSpace, statements) -> dict:
             masks["kill" if negated else "wblk"][x] |= bit
     return {**{name: [tuple(entry) for entry in table]
                for name, table in tables.items()}, **masks, **kinds}
+
+
+def _reference_nonstrict_holds(model: LexModel, st) -> bool:
+    """The non-strict reading of ``st`` by a walk down every stage.
+
+    Held and agreement variables are skipped; a residual (W) variable
+    falsifies the statement and a variable in both difference sets settles
+    it by the required value order; a variable met before either must put
+    the left value on top (R only) or the right value at the bottom
+    (S only).
+    """
+    skip = st.t_mask | st.u_mask
+    for stage in model.stages:
+        x = stage.var
+        bit = 1 << x
+        if bit & skip:
+            continue
+        if bit & st.w_mask:
+            return False
+        if bit & st.rs_mask:
+            rank = stage.rank_of
+            return rank[st.r.vals[x]] < rank[st.s.vals[x]]
+        if bit & st.r_mask:
+            if stage.ranking[0] != st.r.vals[x]:
+                return False
+        elif bit & st.s_mask:
+            if stage.ranking[-1] != st.s.vals[x]:
+                return False
+    return True
+
+
+def reference_satisfies(model: LexModel, st) -> bool:
+    """``satisfies`` by the stage walk, one kind at a time."""
+    holds = _reference_nonstrict_holds(model, st)
+    if st.kind is StatementKind.NON_STRICT:
+        return holds
+    if st.kind is StatementKind.FULLY_STRICT:
+        return bool(st.rs_mask & model.vmask) and holds
+    if st.kind is StatementKind.WEAKLY_STRICT:
+        return bool((st.r_mask | st.s_mask) & model.vmask) and holds
+    return not holds

@@ -1,5 +1,6 @@
 """Instance file parsing, serialization and query parsing."""
 
+import hashlib
 import re
 
 import pytest
@@ -9,10 +10,11 @@ from lexpref import (GenConfig, Instance, ParseError, PartialAssignment,
                      StatementKind, VariableSpace, canonicalize, consistent,
                      entails, format_instance, gen_instance, negate_non_strict,
                      parse_instance, parse_query)
+from lexpref.cli import main as cli_main
 from lexpref.instance import (_CMP_RE, _OPS, _QUERY_SHAPES, _SHAPES,
                               _STMT_RE, _assignment, _item_table,
                               _outcome_line, _shape, _statement,
-                              _table_statement)
+                              _table_statement, format_statement)
 from lexpref.rng import SplitMix64
 
 FLIGHT_FILE = """\
@@ -532,3 +534,69 @@ class TestStatementRoute:
                 == (want[1].re is _REFERENCE_STMT_RE, want[1].groupdict(),
                     want[1].end()), line
         assert errors == {"expected", "held", "trailing"}
+
+
+@pytest.fixture(scope="module")
+def large_file(tmp_path_factory):
+    """The text ``lexpref gen --vars 200 --stmts 1000 --alts 1 --seed 5``
+    writes (its digest is pinned in test_cli.py and CI)."""
+    path = tmp_path_factory.mktemp("large") / "big.lex"
+    assert cli_main(["gen", "--vars", "200", "--stmts", "1000", "--alts", "1",
+                 "--seed", "5", "-o", str(path)]) == 0
+    text = path.read_text(encoding="utf-8")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7fb1ab8d89cdd3357483381149eb144b8fbaa46351db7d9cc258531ffbfc62a9")
+    return text
+
+
+class TestDeferredAgreement:
+    """A statement read by table fills its agreement block on first read."""
+
+    @staticmethod
+    def count_reads(monkeypatch) -> list:
+        reads = []
+        fill = lexpref.instance._agreement
+
+        def counted(*args):
+            reads.append(args)
+            return fill(*args)
+
+        monkeypatch.setattr(lexpref.instance, "_agreement", counted)
+        return reads
+
+    def test_round_trip_of_a_large_file(self, large_file):
+        header, _, _ = large_file.partition("\n")
+        inst = parse_instance(large_file)
+        assert format_instance(inst, header=header[2:]) == large_file
+
+    def test_check_reads_no_agreement_block(self, large_file, monkeypatch):
+        reads = self.count_reads(monkeypatch)
+        inst = parse_instance(large_file)
+        res = consistent(inst.space, inst.statements, verify=True)
+        assert res.consistent and reads == []
+        st = inst.statements[0]
+        assert st.u_mask and format_statement(st) == format_statement(st)
+        assert len(reads) == 1          # filled once, then kept
+
+    def test_deferred_block_equals_the_eager_one(self, large_file,
+                                                 monkeypatch):
+        reads = self.count_reads(monkeypatch)
+        inst = parse_instance(large_file)
+        space = inst.space
+        lines = [line for line in large_file.splitlines()
+                 if line.startswith("stmt ")]
+        assert len(lines) == len(inst.statements)
+        for line, st in zip(lines, inst.statements):
+            match = _shape(line.partition(":")[2], 0, query=False)
+            want = _reference_statement(space, match, st.label)
+            assert hash(st.u) == hash(want.u)       # the first read
+        inst = parse_instance(large_file)       # unread blocks again
+        for line, st in zip(lines, inst.statements):
+            match = _shape(line.partition(":")[2], 0, query=False)
+            want = _reference_statement(space, match, st.label)
+            assert st.u == want.u and want.u == st.u  # the first read
+            assert list(st.u.vals.items()) == list(want.u.vals.items())
+            assert st.u.mask == want.u.mask
+            assert _blocks(st) == _blocks(want)
+        # every statement was read by table, each parse filling U once
+        assert len(reads) == 2 * len(lines)

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (FLIGHT_A, FLIGHT_B, FLIGHT_G, FLIGHT_SPACE,
-                     random_model, random_statement, small_space)
-from lexpref import (CapExceededError, Cmp, LexModel, StatementKind,
-                     TotalValueOrder, VariableSpace, canonicalize, compose,
-                     extends, inner_statement, lex_compare, negate_non_strict,
-                     outcome_comparison, pairs, projection, satisfies,
-                     satisfies_star, statement_consistent)
+                     random_model, random_statement, reference_satisfies,
+                     small_space)
+from lexpref import (CapExceededError, Cmp, LexModel, PartialAssignment,
+                     StatementKind, TotalValueOrder, VariableSpace,
+                     canonicalize, compose, extends, inner_statement,
+                     lex_compare, negate_non_strict, outcome_comparison, pairs,
+                     projection, satisfies, satisfies_star,
+                     statement_consistent)
 from lexpref.rng import SplitMix64
 
 SP = FLIGHT_SPACE
@@ -216,6 +218,113 @@ class TestSatisfies:
                                for c in (lex_compare(pi, a, b)
                                          for a, b in pairs(inner_statement(st))))
             assert satisfies(pi, st) == want
+
+
+def _wide_statement(rng, space):
+    """A statement of any kind whose share of stopping variables varies.
+
+    A third of the statements put no variable in W or in both difference
+    blocks, so that nothing stops the walk; the rest have a few or many.
+    """
+    kind = tuple(StatementKind)[rng.randrange(4)]
+    negated = kind is StatementKind.NEGATED_NON_STRICT
+    stops = rng.randrange(3)       # none, a few, many
+    p_vals, q_vals, held = {}, {}, []
+    for x in range(space.n):
+        d = space.domain_size(x)
+        block = rng.randrange(6)   # 0 T, 1 U, 2 RS, 3 R, 4 S, 5 W
+        if negated and block in (3, 4):
+            block = 2
+        if block == 2 and d < 2:
+            block = 5
+        if block in (2, 5) and (stops == 0
+                                or (stops == 1 and rng.randrange(16))):
+            block = rng.randrange(2)
+        if block == 0:
+            held.append(space.variables[x])
+        elif block == 1:
+            p_vals[x] = q_vals[x] = rng.randrange(d)
+        elif block == 2:
+            p_vals[x] = rng.randrange(d)
+            q_vals[x] = (p_vals[x] + 1 + rng.randrange(d - 1)) % d
+        elif block == 3:
+            p_vals[x] = rng.randrange(d)
+        elif block == 4:
+            q_vals[x] = rng.randrange(d)
+    st = canonicalize(space, PartialAssignment(space, p_vals),
+                      PartialAssignment(space, q_vals), space.mask_of(held),
+                      StatementKind.NON_STRICT if negated else kind)
+    return negate_non_strict(st) if negated else st
+
+
+def _pinning_model(rng, space, st, size):
+    """A model of ``size`` random stages, each R-only (S-only) stage of
+    ``st`` putting the left (right) value on top (bottom) half the time."""
+    stages = []
+    for x in rng.permutation(space.n)[:size]:
+        ranking = rng.permutation(space.domain_size(x))
+        bit = 1 << x
+        if st.r_mask & ~st.s_mask & bit and rng.coin():
+            ranking.remove(st.r.vals[x])
+            ranking.insert(0, st.r.vals[x])
+        elif st.s_mask & ~st.r_mask & bit and rng.coin():
+            ranking.remove(st.s.vals[x])
+            ranking.append(st.s.vals[x])
+        stages.append(TotalValueOrder(space, x, ranking))
+    return LexModel(space, stages)
+
+
+def _walk_case(model, st):
+    """Where the walk stops ('W', 'RS' or 'none'), and whether R-only or
+    S-only variables are staged before that point, and all pin."""
+    pins, held = 0, True
+    for stage in model.stages:
+        x = stage.var
+        if (st.w_mask | st.rs_mask) >> x & 1:
+            return ("W" if st.w_mask >> x & 1 else "RS"), pins > 0, held
+        if st.r_mask >> x & 1:
+            pins += 1
+            held = held and stage.ranking[0] == st.r.vals[x]
+        elif st.s_mask >> x & 1:
+            pins += 1
+            held = held and stage.ranking[-1] == st.s.vals[x]
+    return "none", pins > 0, held
+
+
+class TestSatisfiesByPrefixMasks:
+    def test_agrees_with_the_stage_walk_on_wide_spaces(self):
+        # n >= 64, so that every stage-prefix mask spans several int digits
+        rng = SplitMix64(2024)
+        cases, kinds = {}, set()
+        for case in range(120):
+            n = 64 + rng.randrange(67)
+            names = [f"x{i}" for i in range(n)]
+            space = VariableSpace(names, {
+                name: [f"v{j}" for j in range(1 + rng.randrange(4))]
+                for name in names})
+            for _ in range(12):
+                st = _wide_statement(rng, space)
+                size = (0, 1 + rng.randrange(n - 1), n)[rng.randrange(3)]
+                model = _pinning_model(rng, space, st, size)
+                assert satisfies(model, st) == reference_satisfies(model, st)
+                stop, pinned, held = _walk_case(model, st)
+                key = (stop, pinned, pinned and held)
+                cases[key] = cases.get(key, 0) + 1
+                kinds.add((st.kind, size == 0, 0 < size < n))
+        assert len(kinds) == 4 * 3
+        for stop in ("W", "RS", "none"):
+            for key in ((stop, False, False), (stop, True, False),
+                        (stop, True, True)):
+                assert cases.get(key, 0) >= 10, (key, cases)
+
+    def test_index_is_built_once_per_model(self):
+        model = SP.model([("time", ["night", "day"]),
+                          ("airline", ["KLM", "LAN"])])
+        prefix, stage_of = index = model.stage_index()
+        assert model.stage_index() is index
+        assert prefix == [0, 0b010, 0b011]
+        assert stage_of == {1: model.stages[0], 0: model.stages[1]}
+        assert LexModel(SP).stage_index() == ([0], {})
 
 
 class TestSatisfiesStar:
