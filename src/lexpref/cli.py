@@ -144,8 +144,8 @@ def cmd_infer(args) -> int:
         verdict = (entails_max if args.max_model
                    else entails_general)(space, gamma, st)
     if args.json:
-        print(json.dumps({"query": args.query, "entailed": verdict,
-                          "max_model": bool(args.max_model)}, indent=2))
+        print(_json_indented({"query": args.query, "entailed": verdict,
+                              "max_model": bool(args.max_model)}))
     else:
         print("entailed" if verdict else "not entailed")
     return EXIT_OK if verdict else EXIT_NEGATIVE
@@ -190,7 +190,7 @@ def cmd_optimal(args) -> int:
                                  for cls in sets.eq_classes]
         if oracle_report is not None:
             payload["oracle"] = oracle_report
-        print(json.dumps(payload, indent=2))
+        print(_json_indented(payload))
     else:
         for name in wanted:
             members = ", ".join(render(getattr(sets, name)))
@@ -292,7 +292,7 @@ def cmd_oracle(args) -> int:
         for key in _SET_NAMES:
             report[key] = [names[i] for i in sorted(getattr(brute, key))]
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(_json_indented(report))
     else:
         print("consistent" if ok else "inconsistent")
         print(f"models: {len(models)} of {count} satisfy")

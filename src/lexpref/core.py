@@ -65,16 +65,24 @@ class VariableSpace:
         self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("variable names must be unique")
-        doms = []
+        # one domain tuple and one value index per distinct domain, shared
+        # by every variable that has it
+        shared: dict[tuple[str, ...], tuple] = {}
+        doms, val_index = [], []
         for v in self.variables:
             if v not in domains:
                 raise ValueError(f"no domain given for variable {v!r}")
             dom = tuple(domains[v])
-            if not dom:
-                raise ValueError(f"domain of {v!r} is empty")
-            if len(set(dom)) != len(dom):
-                raise ValueError(f"domain of {v!r} has duplicate values")
-            doms.append(dom)
+            known = shared.get(dom)
+            if known is None:
+                if not dom:
+                    raise ValueError(f"domain of {v!r} is empty")
+                index = {val: j for j, val in enumerate(dom)}
+                if len(index) != len(dom):
+                    raise ValueError(f"domain of {v!r} has duplicate values")
+                known = shared[dom] = (dom, index)
+            doms.append(known[0])
+            val_index.append(known[1])
         if len(domains) != len(self.variables):
             extra = set(domains) - set(self.variables)
             raise ValueError(f"domains given for unknown variables: {sorted(extra)}")
@@ -85,8 +93,7 @@ class VariableSpace:
             if len(d) == 1:
                 self.singleton_mask |= 1 << i
         self._var_index = {v: i for i, v in enumerate(self.variables)}
-        self._val_index = tuple({val: j for j, val in enumerate(dom)}
-                                for dom in self.domains)
+        self._val_index = tuple(val_index)
         self._hash = hash((self.variables, self.domains))
 
     def __eq__(self, other) -> bool:
@@ -194,6 +201,15 @@ class Outcome:
                                  f"variable {space.variables[i]!r}")
         self.space = space
         self.values = values
+
+    @classmethod
+    def _trusted(cls, space: VariableSpace,
+                 values: tuple[int, ...]) -> "Outcome":
+        """Unchecked; ``values`` must hold a valid index for every variable."""
+        outcome = object.__new__(cls)
+        outcome.space = space
+        outcome.values = values
+        return outcome
 
     def value_name(self, var: str) -> str:
         i = self.space.var_index(var)

@@ -40,11 +40,10 @@ class FailureReason(Enum):
     NEGATION_UNWITNESSED = "negation-unwitnessed"
 
 
-_REASON_BY_CODE = {
-    2: FailureReason.NEEDS_SHARED_DIFFERENCE_STAGE,
-    3: FailureReason.NEEDS_DIFFERENCE_STAGE,
-    4: FailureReason.NEGATION_UNWITNESSED,
-}
+# the reason for each of the kernel's three unmet masks, in its order
+_UNMET_REASONS = (FailureReason.NEEDS_SHARED_DIFFERENCE_STAGE,
+                  FailureReason.NEEDS_DIFFERENCE_STAGE,
+                  FailureReason.NEGATION_UNWITNESSED)
 
 
 @dataclass(frozen=True)
@@ -102,15 +101,16 @@ def consistent_from_encoding(enc: EncodedGamma,
         for j, st in enumerate(enc.statements) if not statement_consistent(st))
     if failures:
         return ConsistencyResult(False, LexModel(space), failures, None, g)
-    ok, _, stage_vars, orders, fail, _, tests = enc.run()
+    ok, _, stage_vars, orders, unmet, _, tests = enc.run()
     witness = _model_from_arrays(space, stage_vars, orders)
-    failures = tuple(
-        StatementFailure(j, enc.statements[j], _REASON_BY_CODE[fail[j]])
-        for j in range(g) if fail[j])
+    reasons = {j: reason for reason, mask in zip(_UNMET_REASONS, unmet)
+               for j in iter_bits(mask)}
+    failures = tuple(StatementFailure(j, enc.statements[j], reasons[j])
+                     for j in sorted(reasons))
     tests += g
     if verify:
         for j, st in enumerate(enc.statements):
-            if satisfies(witness, st) != (fail[j] == 0):
+            if satisfies(witness, st) != (j not in reasons):
                 raise RuntimeError(
                     f"internal error: witness disagrees with the "
                     f"satisfaction test on statement {st.label or j}")
@@ -246,15 +246,18 @@ def consistent_with_comparisons(enc: EncodedGamma,
                                 pairs: Sequence[tuple[Outcome, Outcome]],
                                 strict: bool) -> bool:
     """Consistency of the encoded set plus each pair's left outcome above
-    its right one, strictly when ``strict``, in one kernel run.
+    its right one, strictly when ``strict``.
 
+    The reference for the kernel's comparison rows: each pair is its
+    :func:`lexpref.statements.outcome_comparison` statement, appended to
+    the set and encoded afresh, so the run never reaches the row code.
     An individually unsatisfiable statement, or a strict pair of equal
     outcomes, is one the kernel never sees witnessed, so it fails the run.
-    The package itself runs rows through :meth:`EncodedGamma.run`; this
-    form serves the tests and perfbench's span hooks.
     """
-    return enc.run([left.values for left, _ in pairs],
-                   [right.values for _, right in pairs], strict)[0] == 1
+    space = enc.space
+    extra = [outcome_comparison(space, left, right, strict)
+             for left, right in pairs]
+    return EncodedGamma(space, enc.statements + tuple(extra)).run()[0] == 1
 
 
 def entails(space: VariableSpace, gamma: Sequence[PrefStatement], op: str,

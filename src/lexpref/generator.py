@@ -41,6 +41,11 @@ from .statements import PrefStatement, StatementKind, satisfies
 _KIND_ORDER = (StatementKind.FULLY_STRICT, StatementKind.WEAKLY_STRICT,
                StatementKind.NON_STRICT, StatementKind.NEGATED_NON_STRICT)
 
+# Every instance names its values, and its first 256 variables, with these
+# strings, so instances kept side by side share them.
+_VALUE_NAMES = tuple(f"v{j + 1}" for j in range(9))
+_VAR_NAMES = tuple(f"x{i + 1}" for i in range(256))
+
 
 @dataclass(frozen=True)
 class GenConfig:
@@ -91,12 +96,13 @@ def _kind_sequence(rng: SplitMix64, g: int,
 def gen_instance(cfg: GenConfig) -> GeneratedInstance:
     """Draw a consistent instance; the hidden model is returned for audit."""
     rng = SplitMix64(cfg.seed)
-    names = [f"x{i + 1}" for i in range(cfg.n)]
+    names = _VAR_NAMES[:cfg.n] + tuple(
+        f"x{i + 1}" for i in range(len(_VAR_NAMES), cfg.n))
     span = cfg.domain_max - cfg.domain_min + 1
     domains = {}
     for name in names:
         d = cfg.domain_min + rng.randrange(span)
-        domains[name] = [f"v{j + 1}" for j in range(d)]
+        domains[name] = _VALUE_NAMES[:d]
     space = VariableSpace(names, domains)
 
     stage_order = rng.permutation(cfg.n)

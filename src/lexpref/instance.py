@@ -169,7 +169,9 @@ def _table_statement(match: re.Match, space: VariableSpace, items: _Items,
     a sum of bits, so a variable repeated within a side shows as a
     popcount short of the side's length, one on both sides as an overlap,
     and an item of p that q repeats as a q longer than its agreement and
-    right blocks.
+    right blocks.  These tests, and the tables, which hold no one-value
+    variable on a side, cover every check of the statement's constructor,
+    so the statement is built unchecked.
     """
     kind = _OPS[match["op"]]
     if match["neg"] is not None:
@@ -196,10 +198,11 @@ def _table_statement(match: re.Match, space: VariableSpace, items: _Items,
             or s_mask.bit_count() != s_len
             or t_mask.bit_count() != len(held)
             or u_mask & s_mask
-            or t_mask & (p_mask | s_mask)):
+            or t_mask & (p_mask | s_mask)
+            or kind is StatementKind.NEGATED_NON_STRICT and r_mask != s_mask):
         return None
     pair = items.pair.__getitem__
-    return PrefStatement(
+    return PrefStatement._trusted(
         space, kind, _Agreement(space, u_mask, p_text, r_mask),
         PartialAssignment._trusted(space, dict(map(pair, r)), r_mask),
         PartialAssignment._trusted(space, dict(map(pair, s)), s_mask),
@@ -249,7 +252,8 @@ def _outcome_line(space: VariableSpace, items: _Items,
         vals = {}
     if len(vals) != space.n or len(parts) != space.n:
         return space.outcome(_assignment(text))
-    return Outcome(space, tuple(map(vals.__getitem__, range(space.n))))
+    return Outcome._trusted(space, tuple(map(vals.__getitem__,
+                                             range(space.n))))
 
 
 def _outcome(outcomes: dict[str, Outcome], name: str) -> Outcome:

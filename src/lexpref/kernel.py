@@ -13,12 +13,12 @@ benchmark's desk grid, and 13,736 over the 90 instances (m=100) of the
 desk-scale acceptance test.
 
 The value graph of a candidate with d values is d successor masks, bit b
-of ``succ[a]`` for the edge a -> b: a pair or a row sets one bit and a
-pinned best one mask.  The Kahn pass takes the lowest bit of ``ready``,
-the values no unplaced value has an edge into, each time; a pinned worst
-value is held out of it by one extra edge in and placed last once every
-other value is.  A try is thus a number of steps linear in d plus the
-live edges, each step one operation on an int of at most d bits.
+of ``succ[a]`` for the edge a -> b: a pair sets one bit, and the rows
+and a pinned best one mask each.  The Kahn pass takes the lowest bit of
+``ready``, the values no unplaced value has an edge into, each time; a
+pinned worst value is held out of it by one extra edge in and placed last
+once every other value is.  A try is thus a number of steps linear in d
+plus the live edges, each step one operation on an int of at most d bits.
 
 The per-statement state of a run is two Python ints, bit j for statement
 j: ``active`` (live: both-difference block untouched, or for a negation,
@@ -47,26 +47,33 @@ Each of ``pairs[x]``, ``bests[x]`` and ``worsts[x]`` is ``(every,
 entries)``, where ``every`` is the union of the entry masks, which the
 elementary test count reads.  ``full``, ``weak`` and ``neg`` mask the
 fully strict, weakly strict and negated statements.
-``xleft``/``xright`` carry extra complete-outcome comparison rows appended
-to the base statement set, all strict when ``strict`` (one strictness per
-run); membership tests use them to avoid re-encoding per query.  A row
-acts as an outcome comparison statement: it stays in one list of
-undecided rows until a variable on which its outcomes differ enters the
-model, and while there it requires its pair on every candidate.  A strict
-row still undecided at the end is never witnessed.
 
-A run returns ``(ok, stage_count, stage_vars, orders, fail, xfail,
+A run may also carry comparison rows: one left outcome, ``left``, to be
+put above each row outcome in ``rest``, a mask over a table ``rows``
+that :func:`value_masks` builds once for a list of outcomes (``rows[x][v]``
+is the mask of those with value v at x), all strictly when ``strict``.
+Membership tests use them to avoid re-encoding per query.  A row acts as
+the outcome comparison statement of ``left`` and its outcome: it stays in
+the mask ``live`` of undecided rows until a variable on which it differs
+from ``left`` enters the model, and while there it requires its pair
+``left[x]`` above its value on every candidate x.  So a candidate gets
+the edges ``left[x] -> v`` for each v other than ``left[x]`` whose mask
+meets ``live``, and appending x does ``live &= rows[x][left[x]]``.  A
+strict row still undecided at the end is never witnessed.
+
+A run returns ``(ok, stage_count, stage_vars, orders, unmet, live,
 tests)``: ``stage_vars`` lists the model's variables in stage order,
 ``orders[x]`` is variable x's ranking, best first, and empty when x is
-outside the model, ``fail`` codes are 0 ok, 2 strictness never witnessed
-(both difference blocks), 3 strictness never witnessed (either block), 4
-negation never witnessed, ``xfail`` marks each undecided row of a strict
-run with 2, and ``tests`` counts elementary constraint evaluations as a
-scan of one entry per statement, in statement order, would: one per
-candidate, then unless it is blocked all its pair entries, each undecided
-row, and its pin entries up to the first live one whose value differs from
-the first live one's; and one per statement and per undecided row at the
-end.
+outside the model, ``unmet`` is three masks of statements: strictness
+never witnessed (both difference blocks), strictness never witnessed
+(either block) and negation never witnessed (only
+:func:`lexpref.engine.consistent_from_encoding` names them, as failures),
+``live`` the rows left undecided, and ``tests`` counts elementary
+constraint evaluations as a scan of one entry per statement and per row,
+in order, would: one per candidate, then unless it is blocked all its
+pair entries, each undecided row, and its pin entries up to the first
+live one whose value differs from the first live one's; and one per
+statement and per undecided row at the end.
 """
 
 from __future__ import annotations
@@ -111,10 +118,11 @@ class EncodedGamma:
     """Bitset encoding of a statement set, reusable across kernel runs.
 
     Builds the per-variable statement masks once; membership queries then
-    pass extra outcome comparisons as rows of values instead of re-encoding
-    the whole set.  The pair and pin tables come from the blocks' ``vals``;
-    the residual-block masks from one string of the statements' ``w_mask``
-    in binary, read a column at a time by slicing.
+    pass extra outcome comparisons as one left outcome above a mask of row
+    outcomes instead of re-encoding the whole set.  The pair and pin tables
+    come from the blocks' ``vals``; the residual-block masks from one
+    string of the statements' ``w_mask`` in binary, read a column at a
+    time by slicing.
     """
 
     def __init__(self, space: VariableSpace,
@@ -170,13 +178,13 @@ class EncodedGamma:
                       in zip(self.pairs, self.bests, self.worsts)]
         self.full, self.weak, self.neg = full, weak, neg
 
-    def run(self, xleft: Sequence[Sequence[int]] = (),
-            xright: Sequence[Sequence[int]] = (),
-            strict: bool = False):
+    def run(self, rows: Sequence[Sequence[int]] = (),
+            left: Sequence[int] = (), rest: int = 0, strict: bool = False):
         """One kernel run over the set plus comparison rows.
 
-        Row k asks for an outcome with values ``xleft[k]`` above one with
-        values ``xright[k]``, every row strictly when ``strict``.
+        Each row outcome in ``rest`` (a mask over ``rows``, the
+        :func:`value_masks` of some outcomes) must lie below the outcome
+        with values ``left``, strictly when ``strict``.
         """
         space = self.space
         n, domains = space.n, space.domains
@@ -186,7 +194,8 @@ class EncodedGamma:
 
         active = (1 << g) - 1
         touched = 0
-        live = list(range(len(xleft)))   # rows equal on every model variable
+        live = rest             # rows equal to left on every model variable
+        nlive = live.bit_count()
         orders: list[list[int]] = [[] for _ in range(n)]
         stage_vars: list[int] = []
         tests = 0
@@ -201,15 +210,17 @@ class EncodedGamma:
                 d = len(domains[x])
                 succ = [0] * d      # bit b of succ[a]: the edge a -> b
                 every, entries = pairs[x]
-                tests += every.bit_count() + len(live)
+                tests += every.bit_count() + nlive
                 for (a, b), mask in entries:
                     if mask & active:
                         succ[a] |= 1 << b
-                for kx in live:
-                    a = xleft[kx][x]
-                    b = xright[kx][x]
-                    if a != b:
-                        succ[a] |= 1 << b
+                if live:
+                    a = left[x]
+                    below = 0
+                    for b, mask in enumerate(rows[x]):
+                        if mask & live:
+                            below |= 1 << b
+                    succ[a] |= below & ~(1 << a)
                 best, scanned = _pinned(bests[x], active)
                 tests += scanned
                 if best == -2:
@@ -259,28 +270,30 @@ class EncodedGamma:
                 orders[x] = order
                 touched |= touch[x]
                 active &= ~kill[x]
-                live = [kx for kx in live if xleft[kx][x] == xright[kx][x]]
+                if live:
+                    live &= rows[x][left[x]]
+                    nlive = live.bit_count()
                 break
             else:
                 break
 
-        unmet = ((2, self.full & active), (3, self.weak & ~touched),
-                 (4, self.neg & active))
-        fail = [0] * g
-        for code, mask in unmet:
-            bits = bin(mask)[:1:-1]     # bit j at index j; a find per set bit
-            j = bits.find("1")
-            while j >= 0:
-                fail[j] = code
-                j = bits.find("1", j + 1)
-        xfail = [0] * len(xleft)
-        if strict:
-            for kx in live:
-                xfail[kx] = 2
-        tests += g + len(live)
-        ok = not any(mask for _, mask in unmet) and not (strict and live)
-        return ((1 if ok else 0), len(stage_vars), stage_vars, orders, fail,
-                xfail, tests)
+        unmet = (self.full & active, self.weak & ~touched, self.neg & active)
+        tests += g + nlive
+        ok = not (unmet[0] or unmet[1] or unmet[2] or strict and live)
+        return ((1 if ok else 0), len(stage_vars), stage_vars, orders, unmet,
+                live, tests)
+
+
+def value_masks(space: VariableSpace,
+                values: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The row table of some outcomes' ``values``: bit p of ``rows[x][v]``
+    is set when outcome p has value v at variable x."""
+    rows = [[0] * len(domain) for domain in space.domains]
+    for p, vals in enumerate(values):
+        bit = 1 << p
+        for at_x, v in zip(rows, vals):
+            at_x[v] |= bit
+    return rows
 
 
 # backend_name stays only because perfbench/run.py imports it.

@@ -12,17 +12,22 @@ of them once every statement composes (which all statements here do):
 * ``NO``  optimal in every model (necessarily optimal)
 
 Membership reduces to consistency: one engine run per alternative for PO
-and PSO, one per competitor for CSD and NO.  :func:`_ranked_groups` reads
-how a model ranks outcomes from the kernel's arrays, splitting them stage
-by stage until each stands alone; its groups of all alternatives under
-the maximal model are the equivalence classes, interchangeable in every
-model, so all computations run on one representative per class and
-expand afterwards.  Every model a successful run returns, and the maximal
-model, is kept as certificates of which representatives it makes optimal,
-alone at the top, or strictly above which others; a test such a
-certificate covers runs no kernel.  That is sound because the model
-satisfies the statement set plus the test's comparisons, so the set is
-consistent, which is exactly what the kernel decides.
+and PSO, one per competitor for CSD and NO, each a kernel run with one
+representative's values above a mask of others (see
+:mod:`lexpref.kernel`).  One rule, :func:`_ranked`, reads how a model
+ranks outcomes: it splits a mask over the outcomes' :func:`value_masks`
+table stage by stage, depth first, into the parts with each value, best
+first, until each part holds one outcome.  Its groups of all
+alternatives under the maximal model are the equivalence classes,
+interchangeable in every model, so all computations run on one
+representative per class and expand afterwards; its first group under
+any model is :func:`optimal_in_model`.  Every model a successful run
+returns, and the maximal model, is kept as certificates read off its
+groups of the representatives: which it makes optimal, alone at the top,
+or strictly above which others; a test such a certificate covers runs no
+kernel.  That is sound because the model satisfies the statement set
+plus the test's comparisons, so the set is consistent, which is exactly
+what the kernel decides.
 ``compute_sets`` walks the inclusion chain NO ⊆ PSO ⊆ PO, PSO ⊆ CSD: PSO
 is tested only on PO members and CSD only outside PSO, and not at all
 when NO is non-empty: no competitor ever strictly beats a necessarily
@@ -46,12 +51,13 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable, Sequence
 
-from .core import LexModel, Outcome, VariableSpace
+from .core import LexModel, Outcome, VariableSpace, iter_bits
 # consistent_from_encoding and consistent_with_comparisons stay importable
 # here only for perfbench/spans.py, which hooks both on this module.
 from .engine import (EncodedGamma, consistent_from_encoding,  # noqa: F401
                      consistent_with_comparisons)
 from .errors import InconsistentError
+from .kernel import value_masks
 from .statements import PrefStatement
 
 
@@ -127,40 +133,43 @@ class OptimalSets:
         return self.pso
 
 
-def _ranked_groups(values: Sequence[tuple[int, ...]],
-                   stages: Sequence[tuple[int, Sequence[int]]],
-                   ) -> list[list[int]]:
-    """Positions of ``values`` in groups ranked by one model, best first.
+def _ranked(rows: Sequence[Sequence[int]],
+            stages: Sequence[tuple[int, Sequence[int]]],
+            mask: int) -> list[int]:
+    """The groups of the outcomes in ``mask`` that one model ranks as
+    equivalent, best first, as masks over the :func:`value_masks` table
+    ``rows``.
 
-    Each of the model's ``(variable, best-first order)`` ``stages`` splits
-    every group, kept in increasing positions, by the ranks of the values
-    present, read from a position table of the order, until every group
-    has one member.
+    The model's ``(variable, best-first order)`` ``stages`` split a group
+    stage by stage, depth first, into its parts with each value of the
+    stage's variable, best value first; a branch stops when it holds one
+    outcome or the stages run out.
     """
-    groups = [list(range(len(values)))]
-    for x, order in stages:
-        if len(groups) == len(values):
-            break
-        rank = dict(zip(order, range(len(order))))
-        refined = []
-        for group in groups:
-            if len(group) == 1:
-                refined.append(group)
-                continue
-            split: dict[int, list[int]] = {}
-            for p in group:
-                split.setdefault(values[p][x], []).append(p)
-            refined.extend(split[v] for v in sorted(split, key=rank.get))
-        groups = refined
+    groups = []
+    masks, depths = [mask], [0]     # the branches still to split, last first
+    end = len(stages)
+    while masks:
+        mask, depth = masks.pop(), depths.pop()
+        while depth < end and mask & (mask - 1):
+            x, order = stages[depth]
+            depth += 1
+            at_x = rows[x]
+            parts = [part for v in reversed(order) if (part := mask & at_x[v])]
+            if len(parts) > 1:
+                mask = parts.pop()
+                masks += parts
+                depths += [depth] * len(parts)
+        groups.append(mask)
     return groups
 
 
 def optimal_in_model(model: LexModel, alternatives: AlternativeSet,
                      ) -> frozenset[int]:
     """Indices of the alternatives no other alternative beats under the model."""
+    rows = value_masks(model.space, [o.values for o in alternatives])
     stages = [(st.var, st.ranking) for st in model.stages]
-    return frozenset(_ranked_groups([o.values for o in alternatives],
-                                    stages)[0])
+    return frozenset(iter_bits(
+        _ranked(rows, stages, (1 << len(alternatives)) - 1)[0]))
 
 
 def equivalence_classes(space: VariableSpace, gamma: Sequence[PrefStatement],
@@ -177,10 +186,12 @@ def equivalence_classes(space: VariableSpace, gamma: Sequence[PrefStatement],
 class _MembershipRun:
     """Shared state for membership tests over one instance.
 
+    The tests run on one representative per equivalence class, as kernel
+    rows over the :func:`value_masks` table of the representatives' values.
     Every model of the statement set seen so far is kept as certificates,
-    bitmasks over the class representatives' positions: bit p of ``top``
-    when p was optimal in one, of ``sole_top`` when p alone was, and bit q
-    of ``beats[p]`` when p was strictly above q.  A test that a certificate
+    bitmasks over the representatives' positions: bit p of ``top`` when p
+    was optimal in one, of ``sole_top`` when p alone was, and bit q of
+    ``beats[p]`` when p was strictly above q.  A test that a certificate
     already answers runs no kernel.
     """
 
@@ -191,57 +202,63 @@ class _MembershipRun:
         if ok != 1:
             raise InconsistentError("statement set has no model")
         stages = [(x, orders[x]) for x in stage_vars]
-        groups = _ranked_groups([o.values for o in alternatives], stages)
-        self.eq_classes = tuple(tuple(group) for group in sorted(groups))
+        values = [o.values for o in alternatives]
+        rows = value_masks(space, values)
+        groups = _ranked(rows, stages, (1 << len(values)) - 1)
+        self.eq_classes = tuple(sorted(tuple(iter_bits(group))
+                                       for group in groups))
         self.reps = [cls[0] for cls in self.eq_classes]
-        self.rep_values = [alternatives[i].values for i in self.reps]
+        self.rep_values = [values[i] for i in self.reps]
+        if len(groups) < len(values):   # else each alternative is its rep
+            rows = value_masks(space, self.rep_values)
+        self.rows = rows
+        self.everyone = (1 << len(self.reps)) - 1
         self.top = 0
         self.sole_top = 0
         self.beats = [0] * len(self.reps)
-        self._record(_ranked_groups(self.rep_values, stages))
+        self._record(stages)
 
-    def _record(self, groups: list[list[int]]) -> None:
-        """Add the certificates of a model from its ranked rep groups."""
-        below = 0
-        for group in reversed(groups):             # worst group first
-            mask = sum(1 << p for p in group)
-            for p in group:
-                self.beats[p] |= below
-            below |= mask
-        self.top |= mask                           # the best group
-        if len(group) == 1:
-            self.sole_top |= mask
+    def _record(self, stages: list[tuple[int, Sequence[int]]]) -> None:
+        """Add the certificates of a model, given by its stages."""
+        beats = self.beats
+        groups = _ranked(self.rows, stages, self.everyone)
+        best = groups[0]
+        self.top |= best
+        if not best & (best - 1):
+            self.sole_top |= best
+        below = self.everyone
+        for group in groups:
+            below ^= group
+            if group & (group - 1):
+                for p in iter_bits(group):
+                    beats[p] |= below
+            else:
+                beats[group.bit_length() - 1] |= below
 
-    def _holds(self, left: list[tuple[int, ...]],
-               right: list[tuple[int, ...]], strict: bool) -> bool:
-        """Does some model put each left row above its right row?
+    def _holds(self, rep_pos: int, rest: int, strict: bool) -> bool:
+        """Does some model put the representative at ``rep_pos`` above
+        each one in the mask ``rest``?
 
         One kernel run; the model it returns, if any, is recorded.
         """
-        ok, _, stage_vars, orders, *_ = self.enc.run(left, right, strict)
+        ok, _, stage_vars, orders, *_ = self.enc.run(
+            self.rows, self.rep_values[rep_pos], rest, strict)
         if ok != 1:
             return False
-        self._record(_ranked_groups(
-            self.rep_values, [(x, orders[x]) for x in stage_vars]))
+        self._record([(x, orders[x]) for x in stage_vars])
         return True
 
-    def _one_vs_rest(self, rep_pos: int, strict: bool) -> bool:
-        values = self.rep_values
-        rest = values[:rep_pos] + values[rep_pos + 1:]
-        return self._holds([values[rep_pos]] * len(rest), rest, strict)
-
     def po_rep(self, rep_pos: int) -> bool:
-        return (bool(self.top >> rep_pos & 1)
-                or self._one_vs_rest(rep_pos, strict=False))
+        return (bool(self.top >> rep_pos & 1) or self._holds(
+            rep_pos, self.everyone ^ 1 << rep_pos, strict=False))
 
     def pso_rep(self, rep_pos: int) -> bool:
-        return (bool(self.sole_top >> rep_pos & 1)
-                or self._one_vs_rest(rep_pos, strict=True))
+        return (bool(self.sole_top >> rep_pos & 1) or self._holds(
+            rep_pos, self.everyone ^ 1 << rep_pos, strict=True))
 
     def _pair(self, left_rep: int, right_rep: int) -> bool:
-        return bool(self.beats[left_rep] >> right_rep & 1) or self._holds(
-            self.rep_values[left_rep:left_rep + 1],
-            self.rep_values[right_rep:right_rep + 1], strict=True)
+        return (bool(self.beats[left_rep] >> right_rep & 1)
+                or self._holds(left_rep, 1 << right_rep, strict=True))
 
     def csd_rep(self, rep_pos: int) -> bool:
         # undominated: the alternative can strictly beat every

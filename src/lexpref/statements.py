@@ -85,6 +85,20 @@ class PrefStatement:
             raise ValueError(
                 "only non-strict statements with matching difference "
                 "variable sets can be negated")
+        self._fill(space, kind, u, r, s, t_mask, label)
+
+    @classmethod
+    def _trusted(cls, space: VariableSpace, kind: StatementKind,
+                 u: PartialAssignment, r: PartialAssignment,
+                 s: PartialAssignment, t_mask: int,
+                 label: str | None = None) -> "PrefStatement":
+        """Unchecked; the blocks must pass every check of the constructor."""
+        st = object.__new__(cls)
+        st._fill(space, kind, u, r, s, t_mask, label)
+        return st
+
+    def _fill(self, space, kind, u, r, s, t_mask, label) -> None:
+        u_mask, r_mask, s_mask = u.mask, r.mask, s.mask
         self.space = space
         self.kind = kind
         self.u = u
@@ -95,7 +109,7 @@ class PrefStatement:
         self.r_mask = r_mask
         self.s_mask = s_mask
         self.rs_mask = r_mask & s_mask
-        self.w_mask = space.full_mask ^ (u_mask | t_mask | rs_union)
+        self.w_mask = space.full_mask ^ (u_mask | t_mask | r_mask | s_mask)
         self.label = label
 
     @property

@@ -252,6 +252,20 @@ class TestPinnedOutputs:
         assert self.digest(["optimal", path, "--json"], capsys) == want
 
 
+class TestJsonOutput:
+    @pytest.mark.parametrize("argv", [
+        ["check"], ["optimal"], ["optimal", "--set", "po"],
+        ["optimal", "--oracle"], ["oracle"],
+        ["infer", "--query", "a > b"], ["infer", "--query", "a == b"]])
+    def test_every_json_command_prints_what_json_dumps_prints(
+            self, flight_file, capsys, argv):
+        # the commands indent their JSON themselves, byte for byte as the
+        # stdlib's indenting encoder does
+        main(argv[:1] + [flight_file] + argv[1:] + ["--json"])
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 class TestOracleCommand:
     def test_flight_cross_check(self, flight_file, capsys):
         code = main(["oracle", flight_file])

@@ -191,6 +191,18 @@ class TestValidation:
                                       Outcome(space, [1, 0])])
         assert alts.index_of(Outcome(space, (1, 0))) == 1
 
+    def test_equal_domains_share_one_tuple_and_one_index(self):
+        space = VariableSpace(["x", "y", "z"], {"x": ["a", "b"],
+                                                "y": ("a", "b"),
+                                                "z": ["b", "a"]})
+        assert space.domains == (("a", "b"), ("a", "b"), ("b", "a"))
+        assert space.domains[0] is space.domains[1]
+        assert space.domains[0] is not space.domains[2]
+        assert [space.value_index(i, "a") for i in range(3)] == [0, 0, 1]
+        with pytest.raises(ValueError, match="unknown value 'c' for "
+                                             "variable 'y'"):
+            space.value_index(1, "c")
+
     def test_outcome_must_be_total(self):
         with pytest.raises(ValueError):
             FLIGHT_SPACE.outcome({"airline": "KLM"})

@@ -45,6 +45,17 @@ class TestDeterminism:
         assert [o.values for o in a.alternatives] == \
                [o.values for o in b.alternatives]
 
+    def test_instances_share_their_name_strings(self):
+        # instances kept side by side (a benchmark's set-up) hold one copy
+        # of each variable and value name
+        a = gen_instance(small_cfg(seed=1))
+        b = gen_instance(small_cfg(seed=2))
+        assert all(x is y for x, y in zip(a.space.variables,
+                                          b.space.variables))
+        values = [v for space in (a.space, b.space)
+                  for domain in space.domains for v in domain]
+        assert len({id(v) for v in values}) == len(set(values))
+
     def test_different_seeds_differ(self):
         a = gen_instance(small_cfg(seed=1))
         b = gen_instance(small_cfg(seed=2))

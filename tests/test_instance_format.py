@@ -7,9 +7,10 @@ import pytest
 
 import lexpref.instance
 from lexpref import (GenConfig, Instance, ParseError, PartialAssignment,
-                     StatementKind, VariableSpace, canonicalize, consistent,
-                     entails, format_instance, gen_instance, negate_non_strict,
-                     parse_instance, parse_query)
+                     PrefStatement, StatementKind, VariableSpace,
+                     canonicalize, consistent, entails, format_instance,
+                     gen_instance, negate_non_strict, parse_instance,
+                     parse_query)
 from lexpref.cli import main as cli_main
 from lexpref.instance import (_CMP_RE, _OPS, _QUERY_SHAPES, _SHAPES,
                               _STMT_RE, _assignment, _item_table,
@@ -474,11 +475,24 @@ class TestStatementRoute:
                 assert got == want, line
                 continue
             assert _blocks(got[1]) == _blocks(want[1]), line
-            outcomes["table"] += _table_statement(
-                match, space, items, "s") is not None
+            st = _table_statement(match, space, items, "s")
+            if st is not None:
+                # built unchecked, it passes every check of the constructor
+                PrefStatement(space, st.kind, st.u, st.r, st.s, st.t_mask)
+                outcomes["table"] += 1
         # both readers and both outcomes are exercised
         assert outcomes["error"] > 100 and outcomes["table"] >= 20
         assert outcomes["ok"] > outcomes["table"]
+
+    def test_negation_with_other_difference_sets_goes_to_the_full_reader(
+            self):
+        # the table builds statements unchecked, so it must leave this one
+        # to the full reader, whose constructor names what is wrong
+        space = VariableSpace(["x", "y"], {"x": ["a", "b"], "y": ["c", "d"]})
+        match = _shape("not ([x=a] >= [y=d])", 0, query=False)
+        assert _table_statement(match, space, _item_table(space), "s") is None
+        with pytest.raises(ValueError, match="matching difference"):
+            _statement(match, space, _item_table(space), {}, "s")
 
     @pytest.mark.parametrize("seed", range(3))
     def test_queries_read_in_full_as_by_table(self, seed, monkeypatch):

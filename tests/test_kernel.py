@@ -12,20 +12,22 @@ from lexpref import (FailureReason, GenConfig, LexModel, StatementKind,
                      consistent, gen_instance, negate_non_strict,
                      outcome_comparison, parse_instance, satisfies,
                      statement_consistent, valid_extension)
+from lexpref.core import index_mask, iter_bits
 from lexpref.engine import consistent_with_comparisons
-from lexpref.kernel import EncodedGamma
+from lexpref.kernel import EncodedGamma, value_masks
 from lexpref.rng import SplitMix64, derive_seed
 
 
-def _pairs_of(alts, rng, count):
-    """One-vs-rest pairs of ``count`` alternatives, one more pair each
-    against a seeded competitor, and one alternative against itself."""
+def _rest_cases(alts, rng, count):
+    """``(left, rest)`` cases over the alternatives: ``count`` of them, each
+    above all the others, above one seeded competitor, and above itself."""
+    everyone = (1 << len(alts)) - 1
     out = []
     for _ in range(count):
         i = rng.randrange(len(alts))
-        out.append([(alts[i], o) for o in alts if o is not alts[i]])
-        out.append([(alts[i], alts[rng.randrange(len(alts))])])
-        out.append([(alts[i], alts[i])])
+        out.append((i, everyone ^ 1 << i))
+        out.append((i, 1 << rng.randrange(len(alts))))
+        out.append((i, 1 << i))
     return out
 
 
@@ -36,56 +38,66 @@ ROW_CELLS = [(n, g, 20, 5) for n in (10, 20) for g in (10, 50, 100)] + [
 
 
 class TestRowsAreStatements:
-    # a comparison row must act exactly as its outcome_comparison statement
-    # appended to the set; the reference run goes through the statement
-    # tables only, never through the row code
+    # one left outcome above a set of row outcomes must act exactly as the
+    # outcome_comparison statements of left and each row outcome appended
+    # to the set; the reference run goes through the statement tables
+    # only, never through the row code
 
     @staticmethod
-    def assert_rows_are_statements(space, gamma, pairs):
+    def assert_rows_are_statements(space, gamma, left, outcomes, rest):
         enc = EncodedGamma(space, gamma)
         g = len(enc.statements)
+        rows = value_masks(space, [o.values for o in outcomes])
+        below = list(iter_bits(rest))
         for strict in (False, True):
-            ok, nstages, stage_vars, orders, fail, xfail, _ = enc.run(
-                [left.values for left, _ in pairs],
-                [right.values for _, right in pairs], strict)
+            ok, nstages, stage_vars, orders, unmet, live, _ = enc.run(
+                rows, left.values, rest, strict)
             want = EncodedGamma(space, list(gamma) + [
-                outcome_comparison(space, left, right, strict)
-                for left, right in pairs]).run()
-            assert (ok, nstages, list(stage_vars),
-                    [list(order) for order in orders]) == (
-                want[0], want[1], list(want[2]),
-                [list(order) for order in want[3]])
-            assert list(fail) == list(want[4][:g])
-            # an undecided strict row is its statement never witnessed
-            assert [c != 0 for c in xfail] == [c != 0 for c in want[4][g:]]
+                outcome_comparison(space, left, outcomes[q], strict)
+                for q in below]).run()
+            assert (ok, nstages, stage_vars, orders) == want[:4]
+            # a row's statement is weakly strict or non-strict
+            full, weak, neg = want[4]
+            assert unmet == (full, weak & (1 << g) - 1, neg)
+            # the undecided rows: those equal to left on every model
+            # variable; when strict, exactly the rows never witnessed
+            assert live == index_mask(
+                q for q in below if all(outcomes[q].values[x]
+                                        == left.values[x]
+                                        for x in stage_vars))
+            if strict:
+                assert live == index_mask(
+                    q for k, q in enumerate(below) if weak >> g + k & 1)
 
     def test_random_small_sets(self):
-        # oracle-scale sets, inconsistent ones too, with up to four rows,
-        # a third of them between equal outcomes
+        # oracle-scale sets, inconsistent ones too, with up to four row
+        # outcomes, a third of them equal to left, and any subset of them
         rng = SplitMix64(401)
         for _ in range(300):
             space = small_space(rng)
             gamma = random_gamma(rng, space)
-            pairs = []
-            for _ in range(rng.randrange(5)):
-                left = random_outcome(rng, space)
-                right = (left if rng.randrange(3) == 0
-                         else random_outcome(rng, space))
-                pairs.append((left, right))
-            self.assert_rows_are_statements(space, gamma, pairs)
+            left = random_outcome(rng, space)
+            outcomes = [left if rng.randrange(3) == 0
+                        else random_outcome(rng, space)
+                        for _ in range(rng.randrange(5))]
+            rest = rng.randrange(1 << len(outcomes))
+            self.assert_rows_are_statements(space, gamma, left, outcomes,
+                                            rest)
 
     @pytest.mark.parametrize("n, g, m, count", ROW_CELLS)
     def test_generated_instances(self, n, g, m, count):
         gen = gen_instance(GenConfig(n=n, g=g, m=m,
                                      seed=derive_seed(20260808, n, g, 0)))
         rng = SplitMix64(derive_seed(409, n, g))
-        for pairs in _pairs_of(gen.alternatives, rng, count):
-            self.assert_rows_are_statements(gen.space, gen.gamma, pairs)
+        alts = gen.alternatives
+        for i, rest in _rest_cases(alts, rng, count):
+            self.assert_rows_are_statements(gen.space, gen.gamma, alts[i],
+                                            alts.outcomes, rest)
 
 
 class TestKernelRejectsUnsatisfiableRows:
-    # neither EncodedGamma nor consistent_with_comparisons screens anything
-    # before the kernel runs, so the kernel alone must reject each of these
+    # neither EncodedGamma nor the kernel's rows screen anything before the
+    # kernel runs, so the kernel alone must reject each of these
 
     SPACE = VariableSpace(["x", "y"], {"x": ["a", "b"], "y": ["c", "d"]})
 
@@ -97,20 +109,20 @@ class TestKernelRejectsUnsatisfiableRows:
         cases = (
             # strict, but no variable in both difference blocks
             (self.statement({"x": "a"}, {}, [], StatementKind.FULLY_STRICT),
-             2),
+             (1, 0, 0)),
             # strict, but no difference variable at all
             (self.statement({"x": "a"}, {"x": "a"}, ["y"],
-                            StatementKind.WEAKLY_STRICT), 3),
+                            StatementKind.WEAKLY_STRICT), (0, 1, 0)),
             # a negation with no difference or residual variable
             (negate_non_strict(self.statement(
                 {"x": "a"}, {"x": "a"}, ["y"], StatementKind.NON_STRICT)),
-             4),
+             (0, 0, 1)),
         )
-        for st, code in cases:
+        for st, unmet in cases:
             assert not statement_consistent(st)
             enc = EncodedGamma(self.SPACE, [st])
-            ok, _, _, _, fail, _, _ = enc.run()
-            assert (ok, list(fail)) == (0, [code])
+            result = enc.run()
+            assert (result[0], result[4]) == (0, unmet)
             assert not consistent_with_comparisons(enc, [], False)
 
     def test_unsatisfiable_statement_fails_among_others(self):
@@ -122,9 +134,9 @@ class TestKernelRejectsUnsatisfiableRows:
             if statement_consistent(st):
                 continue
             gamma = random_gamma(rng, space) + [st]
-            ok, _, _, _, fail, _, _ = EncodedGamma(space, gamma).run()
+            ok, _, _, _, unmet, _, _ = EncodedGamma(space, gamma).run()
             assert ok == 0
-            assert fail[-1] in (2, 3, 4)
+            assert (unmet[0] | unmet[1] | unmet[2]) >> len(gamma) - 1 == 1
             done += 1
 
     def test_strict_row_between_equal_outcomes_fails(self):
@@ -133,8 +145,9 @@ class TestKernelRejectsUnsatisfiableRows:
             space = small_space(rng)
             enc = EncodedGamma(space, random_gamma(rng, space))
             o = random_outcome(rng, space)
-            ok, _, _, _, _, xfail, _ = enc.run([o.values], [o.values], True)
-            assert (ok, list(xfail)) == (0, [2])
+            result = enc.run(value_masks(space, [o.values]), o.values, 1,
+                             True)
+            assert (result[0], result[5]) == (0, 1)
             assert not consistent_with_comparisons(enc, [(o, o)], True)
 
 

@@ -16,17 +16,24 @@ statements:
 The same instances, and criterion 5's three (n=200, g=1000) ones, also
 replay the kernel's witness through :func:`lexpref.engine.valid_extension`,
 the independent reference: each stage is the extension of the prefix
-before it, and no variable outside the witness extends it.
+before it, and no variable outside the witness extends it.  On the
+consistent ones, every optimality certificate (``top``, ``sole_top`` and
+``beats``) is the one that :func:`lexpref.core.lex_compare` alone reads off
+the models the membership tests recorded.
 """
+
+from functools import cmp_to_key
 
 import pytest
 
-from lexpref import (GenConfig, Instance, LexModel, format_instance,
-                     gen_instance)
-from lexpref.engine import consistent, negation_of, valid_extension
+from lexpref import (Cmp, GenConfig, Instance, LexModel, format_instance,
+                     gen_instance, lex_compare, satisfies)
+from lexpref.core import index_mask
+from lexpref.engine import (EncodedGamma, _model_from_arrays, consistent,
+                            negation_of, valid_extension)
 from lexpref.errors import UnsupportedQueryError
 from lexpref.instance import format_statement, parse_instance
-from lexpref.optimality import compute_sets
+from lexpref.optimality import _MembershipRun, compute_sets
 from lexpref.rng import SplitMix64, derive_seed
 
 SEED = 20261018
@@ -167,3 +174,63 @@ def test_criterion_5_witness_replays_and_is_maximal(rep):
     gen = gen_instance(GenConfig(n=200, g=1000, m=1,
                                  seed=derive_seed(20260808, 5, rep)))
     _assert_replays(gen.space, gen.gamma)
+
+
+_ORDER = {Cmp.BETTER: -1, Cmp.EQUIVALENT: 0, Cmp.WORSE: 1}
+
+
+def _certificates_by_lex_compare(models, reps):
+    """``(top, sole_top, beats)`` over ``reps`` as the models rank them,
+    each ranking sorted and tied by lex_compare alone."""
+    k = len(reps)
+    top = sole_top = 0
+    beats = [0] * k
+    for model in models:
+        def cmp(p, q):
+            return _ORDER[lex_compare(model, reps[p], reps[q])]
+        groups = []
+        for p in sorted(range(k), key=cmp_to_key(cmp)):
+            if groups and cmp(groups[-1][0], p) == 0:
+                groups[-1].append(p)
+            else:
+                groups.append([p])
+        below = 0
+        for group in reversed(groups):
+            for p in group:
+                beats[p] |= below
+            below |= index_mask(group)
+        top |= index_mask(groups[0])
+        if len(groups[0]) == 1:
+            sole_top |= 1 << groups[0][0]
+    return top, sole_top, beats
+
+
+@pytest.mark.parametrize("n, g", SIZES)
+def test_certificates_match_lex_compare(n, g, monkeypatch):
+    # every membership test on every representative, each model a kernel
+    # run returns recorded; the certificates must be exactly what those
+    # models (each a model of the set) give under lex_compare
+    instance = parse_instance(_instance_text(n, g))
+    space, gamma = instance.space, instance.statements
+    alts = instance.alternatives
+    models = []
+    original = EncodedGamma.run
+
+    def recording(self, *args):
+        result = original(self, *args)
+        if result[0] == 1:
+            models.append(_model_from_arrays(space, result[2], result[3]))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(EncodedGamma, "run", recording)
+        run = _MembershipRun(space, gamma, alts)
+        for test in (run.po_rep, run.pso_rep, run.csd_rep, run.no_rep):
+            for p in range(len(run.reps)):
+                test(p)
+    assert len(models) > 1
+    for model in models:
+        assert all(satisfies(model, st) for st in gamma)
+    reps = [alts[i] for i in run.reps]
+    assert (run.top, run.sole_top, run.beats) == \
+        _certificates_by_lex_compare(models, reps)

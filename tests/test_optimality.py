@@ -11,6 +11,7 @@ from lexpref import (AlternativeSet, Cmp, InconsistentError, LexModel,
                      enumerate_models, equivalence_classes, lex_compare,
                      no_membership, optimal_in_model, outcome_comparison,
                      po_membership, pso_membership, satisfies)
+from lexpref.core import iter_bits
 from lexpref.engine import (EncodedGamma, _model_from_arrays,
                             consistent_with_comparisons)
 from lexpref.generator import GenConfig, gen_instance
@@ -202,24 +203,25 @@ def chain_instance(n, g, domain_max, rep):
 
 class PlainTests:
     """Each class's membership test by kernel runs alone: one run per test,
-    nothing remembered between tests."""
+    nothing remembered between tests, each comparison of a representative
+    above a set of others run as outcome_comparison statements."""
 
     def __init__(self, space, gamma, alts):
         self.enc = EncodedGamma(space, gamma)
         self.eq_classes = equivalence_classes(space, gamma, alts)
         self.reps = [alts[cls[0]] for cls in self.eq_classes]
 
-    def holds(self, pairs, strict) -> bool:
-        return not pairs or consistent_with_comparisons(self.enc, pairs,
-                                                        strict)
+    def holds(self, p, rest, strict) -> bool:
+        """Can the rep at p lie above each rep in the mask ``rest``?"""
+        return not rest or consistent_with_comparisons(
+            self.enc, [(self.reps[p], self.reps[q])
+                       for q in iter_bits(rest)], strict)
 
     def above_rest(self, p, strict) -> bool:
-        return self.holds([(self.reps[p], other)
-                           for q, other in enumerate(self.reps) if q != p],
-                          strict)
+        return self.holds(p, (1 << len(self.reps)) - 1 ^ 1 << p, strict)
 
     def beats(self, p, q) -> bool:
-        return self.holds([(self.reps[p], self.reps[q])], strict=True)
+        return self.holds(p, 1 << q, strict=True)
 
     def member(self, name, p) -> bool:
         others = [q for q in range(len(self.reps)) if q != p]
