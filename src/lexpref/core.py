@@ -449,12 +449,13 @@ def compose(left: LexModel, right: LexModel) -> LexModel:
 
 def extends(bigger: LexModel, smaller: LexModel) -> bool:
     """True when ``bigger`` strictly extends ``smaller`` (begins with it)."""
-    if bigger.space is not smaller.space and bigger.space != smaller.space:
-        raise ValueError("models must share a space")
-    k = len(smaller.stages)
-    return len(bigger.stages) > k and bigger.stages[:k] == smaller.stages
+    return (extends_or_equals(bigger, smaller)
+            and len(bigger.stages) > len(smaller.stages))
 
 
 def extends_or_equals(bigger: LexModel, smaller: LexModel) -> bool:
+    """True when ``bigger`` begins with ``smaller`` (or equals it)."""
+    if bigger.space is not smaller.space and bigger.space != smaller.space:
+        raise ValueError("models must share a space")
     k = len(smaller.stages)
     return len(bigger.stages) >= k and bigger.stages[:k] == smaller.stages

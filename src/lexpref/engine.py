@@ -72,12 +72,6 @@ class ConsistencyResult:
             raise ValueError("verdict must match the failure list")
 
 
-def _model_from_arrays(space: VariableSpace, stage_vars,
-                       orders) -> LexModel:
-    return LexModel(space, tuple(TotalValueOrder(space, x, orders[x])
-                                 for x in stage_vars))
-
-
 def consistent(space: VariableSpace, gamma: Sequence[PrefStatement],
                verify: bool = True) -> ConsistencyResult:
     """Decide consistency of a statement set.
@@ -101,8 +95,9 @@ def consistent_from_encoding(enc: EncodedGamma,
         for j, st in enumerate(enc.statements) if not statement_consistent(st))
     if failures:
         return ConsistencyResult(False, LexModel(space), failures, None, g)
-    ok, _, stage_vars, orders, unmet, _, tests = enc.run()
-    witness = _model_from_arrays(space, stage_vars, orders)
+    ok, stages, *unmet, _, tests = enc.run()
+    witness = LexModel(space, tuple(TotalValueOrder(space, x, order)
+                                    for x, order in stages))
     reasons = {j: reason for reason, mask in zip(_UNMET_REASONS, unmet)
                for j in iter_bits(mask)}
     failures = tuple(StatementFailure(j, enc.statements[j], reasons[j])
@@ -123,12 +118,11 @@ def consistent_from_encoding(enc: EncodedGamma,
                 raise RuntimeError(
                     f"internal error: witness is not maximal, {name} "
                     f"extends it")
-    is_consistent = ok == 1
     return ConsistencyResult(
-        consistent=is_consistent,
+        consistent=ok,
         witness=witness,
         failures=failures,
-        v_gamma=witness.variables if is_consistent else None,
+        v_gamma=witness.variables if ok else None,
         test_count=tests)
 
 
@@ -157,7 +151,7 @@ def _complete_order(d: int, pair_list: list[tuple[int, int]],
     rest by smallest-index topological order over a ``ready`` mask.  The
     kernel instead gives a pinned best an edge to every other value and a
     pinned worst one extra edge in, and lets one topological pass meet the
-    clashes; the orders agree, which tests check.
+    clashes; the two completions agree, which tests check.
     """
     succ = [0] * d
     indeg = [0] * d
@@ -257,7 +251,7 @@ def consistent_with_comparisons(enc: EncodedGamma,
     space = enc.space
     extra = [outcome_comparison(space, left, right, strict)
              for left, right in pairs]
-    return EncodedGamma(space, enc.statements + tuple(extra)).run()[0] == 1
+    return EncodedGamma(space, enc.statements + tuple(extra)).run()[0]
 
 
 def entails(space: VariableSpace, gamma: Sequence[PrefStatement], op: str,

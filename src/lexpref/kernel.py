@@ -61,12 +61,12 @@ the edges ``left[x] -> v`` for each v other than ``left[x]`` whose mask
 meets ``live``, and appending x does ``live &= rows[x][left[x]]``.  A
 strict row still undecided at the end is never witnessed.
 
-A run returns ``(ok, stage_count, stage_vars, orders, unmet, live,
-tests)``: ``stage_vars`` lists the model's variables in stage order,
-``orders[x]`` is variable x's ranking, best first, and empty when x is
-outside the model, ``unmet`` is three masks of statements: strictness
-never witnessed (both difference blocks), strictness never witnessed
-(either block) and negation never witnessed (only
+A run returns ``(ok, stages, full_unmet, weak_unmet, neg_unmet, live,
+tests)``: ``ok`` is a bool, ``stages`` the model as ``(variable,
+best-first order)`` pairs in stage order, the three unmet masks the
+statements whose strictness was never witnessed in both difference
+blocks, whose strictness was never witnessed in either block, and whose
+negation was never witnessed (only
 :func:`lexpref.engine.consistent_from_encoding` names them, as failures),
 ``live`` the rows left undecided, and ``tests`` counts elementary
 constraint evaluations as a scan of one entry per statement and per row,
@@ -196,13 +196,13 @@ class EncodedGamma:
         touched = 0
         live = rest             # rows equal to left on every model variable
         nlive = live.bit_count()
-        orders: list[list[int]] = [[] for _ in range(n)]
-        stage_vars: list[int] = []
+        placed = [False] * n
+        stages: list[tuple[int, list[int]]] = []
         tests = 0
 
         while True:
             for x in range(n):
-                if orders[x]:
+                if placed[x]:
                     continue
                 tests += 1
                 if wblk[x] & active:
@@ -266,8 +266,8 @@ class EncodedGamma:
                 if len(order) < d:
                     continue
 
-                stage_vars.append(x)
-                orders[x] = order
+                placed[x] = True
+                stages.append((x, order))
                 touched |= touch[x]
                 active &= ~kill[x]
                 if live:
@@ -279,9 +279,8 @@ class EncodedGamma:
 
         unmet = (self.full & active, self.weak & ~touched, self.neg & active)
         tests += g + nlive
-        ok = not (unmet[0] or unmet[1] or unmet[2] or strict and live)
-        return ((1 if ok else 0), len(stage_vars), stage_vars, orders, unmet,
-                live, tests)
+        ok = not (any(unmet) or strict and live)
+        return (ok, stages, *unmet, live, tests)
 
 
 def value_masks(space: VariableSpace,

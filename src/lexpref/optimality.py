@@ -92,6 +92,8 @@ class AlternativeSet:
         return self.outcomes[i]
 
     def index_of(self, outcome: Outcome) -> int:
+        if outcome.space is not self.space and outcome.space != self.space:
+            raise ValueError("outcome built over a different space")
         try:
             return self._index[outcome.values]
         except KeyError:
@@ -198,10 +200,9 @@ class _MembershipRun:
     def __init__(self, space: VariableSpace, gamma: Sequence[PrefStatement],
                  alternatives: AlternativeSet):
         self.enc = EncodedGamma(space, gamma)
-        ok, _, stage_vars, orders, *_ = self.enc.run()
-        if ok != 1:
+        ok, stages, *_ = self.enc.run()
+        if not ok:
             raise InconsistentError("statement set has no model")
-        stages = [(x, orders[x]) for x in stage_vars]
         values = [o.values for o in alternatives]
         rows = value_masks(space, values)
         groups = _ranked(rows, stages, (1 << len(values)) - 1)
@@ -241,12 +242,11 @@ class _MembershipRun:
 
         One kernel run; the model it returns, if any, is recorded.
         """
-        ok, _, stage_vars, orders, *_ = self.enc.run(
+        ok, stages, *_ = self.enc.run(
             self.rows, self.rep_values[rep_pos], rest, strict)
-        if ok != 1:
-            return False
-        self._record([(x, orders[x]) for x in stage_vars])
-        return True
+        if ok:
+            self._record(stages)
+        return ok
 
     def po_rep(self, rep_pos: int) -> bool:
         return (bool(self.top >> rep_pos & 1) or self._holds(
@@ -276,8 +276,8 @@ class _MembershipRun:
 
 
 def _member(test, space, gamma, alternatives, alpha) -> bool:
-    run = _MembershipRun(space, gamma, alternatives)
     idx = alternatives.index_of(alpha)
+    run = _MembershipRun(space, gamma, alternatives)
     return test(run, next(p for p, cls in enumerate(run.eq_classes)
                           if idx in cls))
 

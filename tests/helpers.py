@@ -99,6 +99,12 @@ def random_model(rng: SplitMix64, space: VariableSpace) -> LexModel:
     return LexModel(space, stages)
 
 
+def stage_model(space: VariableSpace, stages) -> LexModel:
+    """The model of a kernel run's ``(variable, best-first order)`` stages."""
+    return LexModel(space, tuple(TotalValueOrder(space, x, order)
+                                 for x, order in stages))
+
+
 def random_outcome(rng: SplitMix64, space: VariableSpace) -> Outcome:
     return Outcome(space, tuple(rng.randrange(space.domain_size(i))
                                 for i in range(space.n)))

@@ -108,6 +108,15 @@ class TestExtends:
         assert extends(PI, empty)
         assert not extends(empty, empty)
 
+    def test_models_over_other_spaces_are_rejected(self):
+        # the empty model has nothing to compare stage by stage, so only
+        # the space check can reject it
+        other = LexModel(VariableSpace(["x"], {"x": ["a", "b"]}))
+        for check in (extends, extends_or_equals):
+            for bigger, smaller in ((PI, other), (other, PI)):
+                with pytest.raises(ValueError, match="share a space"):
+                    check(bigger, smaller)
+
     def test_extends_iff_compose_fixpoint(self):
         rng = SplitMix64(31)
         for _ in range(500):

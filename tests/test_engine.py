@@ -248,8 +248,8 @@ class TestConsistent:
         run = EncodedGamma.run
 
         def early_stop(self, *args):
-            ok, nstages, stage_vars, *rest = run(self, *args)
-            return (ok, nstages - 1, stage_vars[:-1], *rest)
+            ok, stages, *rest = run(self, *args)
+            return (ok, stages[:-1], *rest)
 
         monkeypatch.setattr(EncodedGamma, "run", early_stop)
         assert consistent(space, gamma, verify=False).v_gamma == {"x", "y"}

@@ -50,21 +50,21 @@ class TestRowsAreStatements:
         rows = value_masks(space, [o.values for o in outcomes])
         below = list(iter_bits(rest))
         for strict in (False, True):
-            ok, nstages, stage_vars, orders, unmet, live, _ = enc.run(
+            ok, stages, *unmet, live, _ = enc.run(
                 rows, left.values, rest, strict)
             want = EncodedGamma(space, list(gamma) + [
                 outcome_comparison(space, left, outcomes[q], strict)
                 for q in below]).run()
-            assert (ok, nstages, stage_vars, orders) == want[:4]
+            assert (ok, stages) == want[:2]
             # a row's statement is weakly strict or non-strict
-            full, weak, neg = want[4]
-            assert unmet == (full, weak & (1 << g) - 1, neg)
+            full, weak, neg = want[2:5]
+            assert unmet == [full, weak & (1 << g) - 1, neg]
             # the undecided rows: those equal to left on every model
             # variable; when strict, exactly the rows never witnessed
             assert live == index_mask(
                 q for q in below if all(outcomes[q].values[x]
                                         == left.values[x]
-                                        for x in stage_vars))
+                                        for x, _ in stages))
             if strict:
                 assert live == index_mask(
                     q for k, q in enumerate(below) if weak >> g + k & 1)
@@ -122,7 +122,7 @@ class TestKernelRejectsUnsatisfiableRows:
             assert not statement_consistent(st)
             enc = EncodedGamma(self.SPACE, [st])
             result = enc.run()
-            assert (result[0], result[4]) == (0, unmet)
+            assert (result[0], result[2:5]) == (False, unmet)
             assert not consistent_with_comparisons(enc, [], False)
 
     def test_unsatisfiable_statement_fails_among_others(self):
@@ -134,8 +134,8 @@ class TestKernelRejectsUnsatisfiableRows:
             if statement_consistent(st):
                 continue
             gamma = random_gamma(rng, space) + [st]
-            ok, _, _, _, unmet, _, _ = EncodedGamma(space, gamma).run()
-            assert ok == 0
+            ok, _, *unmet, _, _ = EncodedGamma(space, gamma).run()
+            assert ok is False
             assert (unmet[0] | unmet[1] | unmet[2]) >> len(gamma) - 1 == 1
             done += 1
 
@@ -147,7 +147,7 @@ class TestKernelRejectsUnsatisfiableRows:
             o = random_outcome(rng, space)
             result = enc.run(value_masks(space, [o.values]), o.values, 1,
                              True)
-            assert (result[0], result[5]) == (0, 1)
+            assert (result[0], result[5]) == (False, 1)
             assert not consistent_with_comparisons(enc, [(o, o)], True)
 
 

@@ -13,6 +13,14 @@ statements:
   another order and builds another maximal model, over the same variables
   (every maximal model has the same variable set).
 
+On the consistent instances, two more:
+
+* the ``alts:`` list shuffled keeps everything: the alternatives are
+  renumbered, so the four sets and the classes are permuted with them;
+* comparisons that :func:`lexpref.engine.entails` reports as entailed,
+  added as statements, keep the verdict, the failures, ``v_gamma``, the
+  four sets and the classes: the set keeps the same models.
+
 The same instances, and criterion 5's three (n=200, g=1000) ones, also
 replay the kernel's witness through :func:`lexpref.engine.valid_extension`,
 the independent reference: each stage is the extension of the prefix
@@ -26,11 +34,13 @@ from functools import cmp_to_key
 
 import pytest
 
-from lexpref import (Cmp, GenConfig, Instance, LexModel, format_instance,
-                     gen_instance, lex_compare, satisfies)
+from helpers import stage_model
+from lexpref import (Cmp, GenConfig, Instance, LexModel, Outcome,
+                     StatementKind, format_instance, gen_instance, lex_compare,
+                     outcome_comparison, satisfies)
 from lexpref.core import index_mask
-from lexpref.engine import (EncodedGamma, _model_from_arrays, consistent,
-                            negation_of, valid_extension)
+from lexpref.engine import (EncodedGamma, consistent, entails, negation_of,
+                            valid_extension)
 from lexpref.errors import UnsupportedQueryError
 from lexpref.instance import format_statement, parse_instance
 from lexpref.optimality import _MembershipRun, compute_sets
@@ -64,8 +74,8 @@ def _instance_text(n, g, contradict=False):
     return text
 
 
-CASES = ([pytest.param((n, g, False), id=f"n{n}-g{g}") for n, g in SIZES]
-         + [pytest.param((50, 50, True), id="n50-g50-contradicted")])
+CONSISTENT = [pytest.param((n, g, False), id=f"n{n}-g{g}") for n, g in SIZES]
+CASES = CONSISTENT + [pytest.param((50, 50, True), id="n50-g50-contradicted")]
 
 
 def _answers(text):
@@ -112,12 +122,60 @@ def _shuffle_domains(text, rng):
     return "\n".join(lines) + "\n"
 
 
+def _shuffle_alternatives(text, rng):
+    """The ``alts:`` line with its names permuted."""
+    lines = text.splitlines()
+    i = next(k for k, line in enumerate(lines) if line.startswith("alts: "))
+    names = lines[i][len("alts: "):].split(", ")
+    lines[i] = "alts: " + ", ".join(names[k]
+                                    for k in rng.permutation(len(names)))
+    return "\n".join(lines) + "\n"
+
+
+def _entailed_comparisons(text, count):
+    """``count`` comparisons that ``entails`` reports as entailed, each an
+    outcome pair of one of the set's first statements: one alternative
+    with the statement's left side written over it, and with its right
+    side, so the two agree on the statement's held variables."""
+    instance = parse_instance(text)
+    space, gamma = instance.space, instance.statements
+    alts = instance.alternatives
+    out = []
+    for k, st in enumerate(gamma):
+        if st.kind is StatementKind.NEGATED_NON_STRICT:
+            continue
+        base = alts[k % len(alts)].values
+        left, right = list(base), list(base)
+        for x, v in {**st.u.vals, **st.r.vals}.items():
+            left[x] = v
+        for x, v in {**st.u.vals, **st.s.vals}.items():
+            right[x] = v
+        left, right = Outcome(space, left), Outcome(space, right)
+        if left == right:
+            continue
+        op = next(op for op in (">", ">=")
+                  if entails(space, gamma, op, left, right))
+        out.append(outcome_comparison(space, left, right, strict=op == ">"))
+        if len(out) == count:
+            return out
+    raise AssertionError("too few statements to instantiate")
+
+
+def _case(param):
+    text = _instance_text(*param)
+    answers = _answers(text)
+    assert answers["consistent"] != param[2]
+    return text, answers
+
+
 @pytest.fixture(scope="module", params=CASES)
 def case(request):
-    text = _instance_text(*request.param)
-    answers = _answers(text)
-    assert answers["consistent"] != request.param[2]
-    return text, answers
+    return _case(request.param)
+
+
+@pytest.fixture(scope="module", params=CONSISTENT)
+def consistent_case(request):
+    return _case(request.param)
 
 
 def test_statement_order_changes_nothing(case):
@@ -138,6 +196,22 @@ def test_variable_and_value_order_change_all_but_the_witness(case, rewrite):
     shuffled = rewrite(text, SplitMix64(SEED + 2))
     assert shuffled != text
     got = _answers(shuffled)
+    assert {k: v for k, v in got.items() if k != "witness"} == {
+        k: v for k, v in want.items() if k != "witness"}
+
+
+def test_alternative_order_permutes_the_sets(consistent_case):
+    text, want = consistent_case
+    shuffled = _shuffle_alternatives(text, SplitMix64(SEED + 3))
+    assert shuffled != text
+    assert _answers(shuffled) == want
+
+
+def test_entailed_comparisons_change_no_set(consistent_case):
+    text, want = consistent_case
+    added = _entailed_comparisons(text, 3)
+    got = _answers(text + "".join(f"stmt entailed{k}: {format_statement(st)}\n"
+                                  for k, st in enumerate(added)))
     assert {k: v for k, v in got.items() if k != "witness"} == {
         k: v for k, v in want.items() if k != "witness"}
 
@@ -218,8 +292,9 @@ def test_certificates_match_lex_compare(n, g, monkeypatch):
 
     def recording(self, *args):
         result = original(self, *args)
-        if result[0] == 1:
-            models.append(_model_from_arrays(space, result[2], result[3]))
+        ok, stages, *_ = result
+        if ok:
+            models.append(stage_model(space, stages))
         return result
 
     with monkeypatch.context() as patch:

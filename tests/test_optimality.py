@@ -3,17 +3,17 @@
 import pytest
 
 from helpers import (FLIGHT_A, FLIGHT_B, FLIGHT_D, FLIGHT_G,
-                     FLIGHT_SPACE, random_gamma, small_space)
+                     FLIGHT_SPACE, random_gamma, small_space, stage_model)
 from lexpref import (AlternativeSet, Cmp, InconsistentError, LexModel,
-                     OptimalSets, StatementKind, brute_consistent,
-                     brute_optimal_sets, canonicalize, compute_sets,
-                     compute_sets_timed, consistent, csd_membership,
-                     enumerate_models, equivalence_classes, lex_compare,
-                     no_membership, optimal_in_model, outcome_comparison,
-                     po_membership, pso_membership, satisfies)
+                     OptimalSets, Outcome, StatementKind, VariableSpace,
+                     brute_consistent, brute_optimal_sets, canonicalize,
+                     compute_sets, compute_sets_timed, consistent,
+                     csd_membership, enumerate_models, equivalence_classes,
+                     lex_compare, no_membership, optimal_in_model,
+                     outcome_comparison, po_membership, pso_membership,
+                     satisfies)
 from lexpref.core import iter_bits
-from lexpref.engine import (EncodedGamma, _model_from_arrays,
-                            consistent_with_comparisons)
+from lexpref.engine import EncodedGamma, consistent_with_comparisons
 from lexpref.generator import GenConfig, gen_instance
 from lexpref.optimality import _MembershipRun
 from lexpref.rng import SplitMix64, derive_seed
@@ -38,6 +38,16 @@ class TestAlternativeSet:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             AlternativeSet(SP, [])
+
+    def test_outcome_over_another_space_rejected(self):
+        # the same value tuples over another space name other alternatives
+        a = VariableSpace(["x"], {"x": ["a", "b"]})
+        b = VariableSpace(["y"], {"y": ["a", "b"]})
+        alts = AlternativeSet(a, [Outcome(a, (0,)), Outcome(a, (1,))])
+        with pytest.raises(ValueError, match="different space"):
+            alts.index_of(Outcome(b, (1,)))
+        with pytest.raises(ValueError, match="different space"):
+            po_membership(a, [], alts, Outcome(b, (1,)))
 
 
 class TestOptimalInModel:
@@ -333,10 +343,9 @@ class TestCertificates:
 
             def recording(self, *args, **kwargs):
                 result = original(self, *args, **kwargs)
-                ok, _, stage_vars, orders, *_ = result
-                if ok == 1:
-                    models.append(_model_from_arrays(space, stage_vars,
-                                                     orders))
+                ok, stages, *_ = result
+                if ok:
+                    models.append(stage_model(space, stages))
                 return result
 
             with monkeypatch.context() as patch:
