@@ -19,12 +19,16 @@ strict); a query may also compare two outcomes with ``==``.  Either
 bracketed list may be empty, and the ``|| {...}`` held-variable clause may
 be omitted when empty.  Names are runs of letters, digits and ``_.+-``;
 ``not`` starts a negation only when ``(`` follows it, so it is also a valid
-outcome name.  Variable declarations must precede everything else.
+outcome name.  Variable declarations must precede everything else.  The
+alternatives are the outcomes the ``alts:`` lines name, in order; each
+must be listed once, and no two may be the same outcome (give every
+variable the same value).
 
-Every error in a file names its line; trailing input after a statement and
-an unclosed held set also give their column, counted from the start of the
-line (of the query, for a query).  Re-serialising a parsed file is lossless
-up to canonicalisation of the statements.
+Every malformed line is rejected with an error that names its line;
+trailing input after a statement and an unclosed held set also give their
+column, counted from the start of the line (of the query, for a query).
+Re-serialising a parsed file is lossless up to canonicalisation of the
+statements.
 
 Lists spelled as :func:`format_instance` writes them (items joined by
 ``", "``, no blank next to a bracket or brace, one blank after an
@@ -58,6 +62,7 @@ _NAME_RE = re.compile(rf"^{_NAME}$")
 _OPS = {">=": StatementKind.NON_STRICT,
         ">>": StatementKind.FULLY_STRICT,
         ">": StatementKind.WEAKLY_STRICT}
+_OP_NAMES = {kind: op for op, kind in _OPS.items()}
 # Each list runs to its closing bracket: a one-character class is scanned
 # by re's literal loop.  _shape refuses a '[' in a side or a '{' in the
 # held set as the grammar does.
@@ -72,6 +77,10 @@ _SHAPES = ("expected '[VAR=val, ...] OP [VAR=val, ...] || {VAR, ...}', "
            "'not ([...] >= [...] || {...})' or 'OUTCOME OP OUTCOME', "
            "with OP one of '>=', '>>', '>'")
 _QUERY_SHAPES = _SHAPES + " ('==' too, between outcomes)"
+# The usage message and the error noun of each named declaration.
+_DECLS = {"var": ("expected 'var NAME: v1, v2, ...'", "variable"),
+          "outcome": ("expected 'outcome NAME: VAR=val, ...'", "outcome"),
+          "stmt": ("expected 'stmt NAME: ...'", "statement")}
 
 
 @dataclass
@@ -119,10 +128,6 @@ class _Items(NamedTuple):
     pair: dict[str, tuple[int, int]]
     bit: dict[str, int]
     held: dict[str, int]
-
-
-# Tables every item misses, so that the full reader reads each one.
-_NO_ITEMS = _Items({}, {}, {})
 
 
 def _item_table(space: VariableSpace) -> _Items:
@@ -294,14 +299,16 @@ def _shape(text: str, offset: int, query: bool) -> re.Match:
     return match
 
 
-def _statement(match: re.Match, space: VariableSpace, items: _Items,
+def _statement(match: re.Match, space: VariableSpace, items: _Items | None,
                outcomes: dict[str, Outcome], label: str) -> PrefStatement:
     """The statement a ``_shape`` match spells; errors are ``ValueError``.
 
-    ``items`` is the space's :func:`_item_table`.
+    ``items`` is the space's :func:`_item_table`, or ``None`` to read the
+    statement in full.
     """
     if match.re is _STMT_RE:
-        st = _table_statement(match, space, items, label)
+        st = (None if items is None
+              else _table_statement(match, space, items, label))
         if st is not None:
             return st
         p, q = (space.partial(_assignment(match[side])) for side in "pq")
@@ -318,14 +325,13 @@ def _statement(match: re.Match, space: VariableSpace, items: _Items,
 
 
 def parse_instance(text: str) -> Instance:
-    var_names: list[str] = []
-    var_domains: dict[str, list[str]] = {}
+    domains: dict[str, list[str]] = {}
     space: VariableSpace | None = None
-    items = _NO_ITEMS                        # _item_table(space)
+    items: _Items | None = None             # _item_table(space)
     outcomes: dict[str, Outcome] = {}
-    statements: list[PrefStatement] = []
-    stmt_names: set[str] = set()
-    alt_names: list[str] = []
+    statements: dict[str, PrefStatement] = {}
+    alts: dict[tuple[int, ...], str] = {}   # names by outcome values
+    declared = {"var": domains, "outcome": outcomes, "stmt": statements}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -342,57 +348,11 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(
                     "variable declarations must precede outcomes and "
                     "statements", lineno)
-            if len(head_parts) != 2 or not _NAME_RE.match(head_parts[1]):
-                raise ParseError("expected 'var NAME: v1, v2, ...'", lineno)
-            name = head_parts[1]
-            if name in var_domains:
-                raise ParseError(f"variable {name!r} declared twice", lineno)
-            values = [v.strip() for v in rest.split(",")]
-            if not values or any(not _NAME_RE.match(v) for v in values):
-                raise ParseError(f"bad value list for variable {name!r}",
-                                 lineno)
-            if len(set(values)) != len(values):
-                raise ParseError(f"domain of {name!r} has duplicate values",
-                                 lineno)
-            var_names.append(name)
-            var_domains[name] = values
-            continue
-
-        if space is None:
-            if not var_names:
+        elif space is None:
+            if not domains:
                 raise ParseError("no variables declared yet", lineno)
-            space = VariableSpace(var_names, var_domains)
+            space = VariableSpace(list(domains), domains)
             items = _item_table(space)
-
-        if keyword == "outcome":
-            if len(head_parts) != 2 or not _NAME_RE.match(head_parts[1]):
-                raise ParseError("expected 'outcome NAME: VAR=val, ...'",
-                                 lineno)
-            name = head_parts[1]
-            if name in outcomes:
-                raise ParseError(f"outcome {name!r} declared twice", lineno)
-            try:
-                outcomes[name] = _outcome_line(space, items, rest)
-            except ValueError as exc:
-                raise ParseError(f"outcome {name}: {exc}", lineno) from None
-            continue
-
-        if keyword == "stmt":
-            if len(head_parts) != 2 or not _NAME_RE.match(head_parts[1]):
-                raise ParseError("expected 'stmt NAME: ...'", lineno)
-            name = head_parts[1]
-            if name in stmt_names:
-                raise ParseError(f"statement {name!r} declared twice", lineno)
-            # columns count from the start of the raw line
-            offset = len(raw) - len(raw.lstrip()) + len(head) + 1
-            try:
-                statements.append(_statement(
-                    _shape(rest, offset, query=False), space, items,
-                    outcomes, name))
-            except ValueError as exc:
-                raise ParseError(f"statement {name}: {exc}", lineno) from None
-            stmt_names.add(name)
-            continue
 
         if keyword == "alts" and len(head_parts) == 1:
             for item in rest.split(","):
@@ -400,20 +360,56 @@ def parse_instance(text: str) -> Instance:
                 if name not in outcomes:
                     raise ParseError(f"alternatives: unknown outcome {name!r}",
                                      lineno)
-                if name in alt_names:
+                key = outcomes[name].values
+                other = alts.get(key)
+                if other == name:
                     raise ParseError(
                         f"alternatives: outcome {name!r} listed twice", lineno)
-                alt_names.append(name)
+                if other is not None:
+                    raise ParseError(
+                        f"alternatives: outcomes {other!r} and {name!r} are "
+                        f"the same outcome", lineno)
+                alts[key] = name
             continue
 
-        raise ParseError(f"unknown declaration {keyword!r}", lineno)
+        decl = _DECLS.get(keyword)
+        if decl is None:
+            raise ParseError(f"unknown declaration {keyword!r}", lineno)
+        usage, noun = decl
+        if len(head_parts) != 2 or not _NAME_RE.match(head_parts[1]):
+            raise ParseError(usage, lineno)
+        name = head_parts[1]
+        if name in declared[keyword]:
+            raise ParseError(f"{noun} {name!r} declared twice", lineno)
+        if keyword == "var":
+            values = [v.strip() for v in rest.split(",")]
+            if not all(map(_NAME_RE.match, values)):
+                raise ParseError(f"bad value list for variable {name!r}",
+                                 lineno)
+            if len(set(values)) != len(values):
+                raise ParseError(f"domain of {name!r} has duplicate values",
+                                 lineno)
+            domains[name] = values
+            continue
+        try:
+            if keyword == "outcome":
+                outcomes[name] = _outcome_line(space, items, rest)
+            else:
+                # columns count from the start of the raw line
+                offset = len(raw) - len(raw.lstrip()) + len(head) + 1
+                statements[name] = _statement(
+                    _shape(rest, offset, query=False), space, items,
+                    outcomes, name)
+        except ValueError as exc:
+            raise ParseError(f"{noun} {name}: {exc}", lineno) from None
 
     if space is None:
-        if not var_names:
+        if not domains:
             raise ParseError("instance declares no variables", None)
-        space = VariableSpace(var_names, var_domains)
+        space = VariableSpace(list(domains), domains)
     return Instance(space=space, outcomes=outcomes,
-                    statements=tuple(statements), alt_names=tuple(alt_names))
+                    statements=tuple(statements.values()),
+                    alt_names=tuple(alts.values()))
 
 
 def parse_query(instance: Instance, text: str):
@@ -426,7 +422,7 @@ def parse_query(instance: Instance, text: str):
         match = _shape(text, 0, query=True)
         if match.re is _STMT_RE:
             # one statement is read faster in full than a table is built
-            return ("stmt", _statement(match, instance.space, _NO_ITEMS,
+            return ("stmt", _statement(match, instance.space, None,
                                        instance.outcomes, "query"))
         left, right = (_outcome(instance.outcomes, match[side])
                        for side in ("left", "right"))
@@ -461,10 +457,7 @@ def format_statement(st: PrefStatement) -> str:
     held = ", ".join(compress(space.variables, _selectors(st.t_mask)))
     if st.kind is StatementKind.NEGATED_NON_STRICT:
         return f"not ({left} >= {right} || {{{held}}})"
-    op = {StatementKind.NON_STRICT: ">=",
-          StatementKind.FULLY_STRICT: ">>",
-          StatementKind.WEAKLY_STRICT: ">"}[st.kind]
-    return f"{left} {op} {right} || {{{held}}}"
+    return f"{left} {_OP_NAMES[st.kind]} {right} || {{{held}}}"
 
 
 def format_instance(instance: Instance, header: str | None = None) -> str:

@@ -196,14 +196,12 @@ class EncodedGamma:
         touched = 0
         live = rest             # rows equal to left on every model variable
         nlive = live.bit_count()
-        placed = [False] * n
+        unplaced = list(range(n))
         stages: list[tuple[int, list[int]]] = []
         tests = 0
 
         while True:
-            for x in range(n):
-                if placed[x]:
-                    continue
+            for k, x in enumerate(unplaced):
                 tests += 1
                 if wblk[x] & active:
                     continue
@@ -266,7 +264,7 @@ class EncodedGamma:
                 if len(order) < d:
                     continue
 
-                placed[x] = True
+                del unplaced[k]
                 stages.append((x, order))
                 touched |= touch[x]
                 active &= ~kill[x]

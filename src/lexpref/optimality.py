@@ -168,7 +168,10 @@ def _ranked(rows: Sequence[Sequence[int]],
 def optimal_in_model(model: LexModel, alternatives: AlternativeSet,
                      ) -> frozenset[int]:
     """Indices of the alternatives no other alternative beats under the model."""
-    rows = value_masks(model.space, [o.values for o in alternatives])
+    space = model.space
+    if alternatives.space is not space and alternatives.space != space:
+        raise ValueError("alternatives built over a different space")
+    rows = value_masks(space, [o.values for o in alternatives])
     stages = [(st.var, st.ranking) for st in model.stages]
     return frozenset(iter_bits(
         _ranked(rows, stages, (1 << len(alternatives)) - 1)[0]))
@@ -199,6 +202,8 @@ class _MembershipRun:
 
     def __init__(self, space: VariableSpace, gamma: Sequence[PrefStatement],
                  alternatives: AlternativeSet):
+        if alternatives.space is not space and alternatives.space != space:
+            raise ValueError("alternatives built over a different space")
         self.enc = EncodedGamma(space, gamma)
         ok, stages, *_ = self.enc.run()
         if not ok:

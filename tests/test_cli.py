@@ -348,6 +348,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line 1" in err
 
+    @pytest.mark.parametrize("argv", [["check"], ["optimal", "--json"]])
+    def test_alternative_named_twice_is_a_positioned_error(self, tmp_path,
+                                                           capsys, argv):
+        # o1 and o2 are one outcome, so the alts: line lists it twice
+        path = tmp_path / "same.lpq"
+        path.write_text("var x: a, b\nvar y: c, d\noutcome o1: x=a, y=c\n"
+                        "outcome o2: x=a, y=c\nalts: o1, o2\n")
+        assert main([argv[0], str(path), *argv[1:]]) == 3
+        assert "line 5:" in capsys.readouterr().err
+
     def test_closed_stdout_exits_141_quietly(self, flight_file):
         # the reader is gone before the command starts, as after `| head`
         # has read enough; no traceback, and not a negative verdict

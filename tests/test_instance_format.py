@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import time
 
 import pytest
 
@@ -145,6 +146,30 @@ stmt s5: [] >= [x=a]
                               "stmt s: [x=a] >= [x=b] || {y, y}\n")
         assert inst.statements[0].t_mask == 1 << inst.space.var_index("y")
 
+    def test_var_lines_only(self):
+        inst = parse_instance("var x: a, b\nvar y: c\n")
+        assert inst.space == VariableSpace(["x", "y"],
+                                           {"x": ["a", "b"], "y": ["c"]})
+        assert inst.outcomes == {} and inst.statements == ()
+        assert inst.alternatives is None
+
+    def test_many_alternatives_parse_in_linear_time(self):
+        # 20,000 distinct outcomes over 15 two-value variables, all listed
+        # on one alts: line; a list scanned once per name made it quadratic
+        n, m = 15, 20_000
+        lines = [f"var x{i}: a, b" for i in range(n)]
+        lines += [f"outcome o{k}: " + ", ".join(
+            f"x{i}={'ab'[k >> i & 1]}" for i in range(n)) for k in range(m)]
+        lines.append("alts: " + ", ".join(f"o{k}" for k in range(m)))
+        text = "\n".join(lines) + "\n"
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            inst = parse_instance(text)
+            best = min(best, time.perf_counter() - start)
+        assert len(inst.alternatives) == m
+        assert best < 1.0, best
+
     def test_negated_statement_round_trips(self):
         text = ("var x: a, b\nvar y: c, d\n"
                 "stmt s1: not ([x=a] >= [x=b] || {y})\n")
@@ -204,6 +229,25 @@ class TestParseErrors:
          "line 3: statement s: unknown variable 'zz'"),
         ("var x: a, b\nvar y: c, d\nstmt s: [x=a] >= [x=b] || {y, }\n",
          "line 3: statement s: unknown variable ''"),
+        # each named declaration's head and repeat checks
+        ("var : a, b\n", "line 1: expected 'var NAME: v1, v2, ...'"),
+        ("var x: a, \n", "line 1: bad value list for variable 'x'"),
+        ("var x: a, b\noutcome: x=a\n",
+         "line 2: expected 'outcome NAME: VAR=val, ...'"),
+        ("var x: a, b\noutcome o: x=a\noutcome o: x=b\n",
+         "line 3: outcome 'o' declared twice"),
+        ("var x: a, b\nstmt s t: [x=a] >= [x=b]\n",
+         "line 2: expected 'stmt NAME: ...'"),
+        ("var x: a, b\nstmt s: [x=a] >= [x=b]\nstmt s: [x=b] >= [x=a]\n",
+         "line 3: statement 's' declared twice"),
+        # the order of checks within a line
+        ("var x: a, b\noutcome o: x=a\nvar y z: c, d\n",
+         "line 3: variable declarations must precede"),
+        ("outcome: x=a\n", "line 1: no variables declared yet"),
+        # two names of one outcome are one alternative
+        ("var x: a, b\nvar y: c, d\noutcome o1: x=a, y=c\n"
+         "outcome o2: x=a, y=c\nalts: o1, o2\n",
+         "line 5: alternatives: outcomes 'o1' and 'o2' are the same outcome"),
     ])
     def test_positioned_errors(self, text, fragment):
         with pytest.raises(ParseError) as err:

@@ -7,11 +7,11 @@ from helpers import (FLIGHT_A, FLIGHT_B, FLIGHT_D, FLIGHT_G,
 from lexpref import (AlternativeSet, Cmp, InconsistentError, LexModel,
                      OptimalSets, Outcome, StatementKind, VariableSpace,
                      brute_consistent, brute_optimal_sets, canonicalize,
-                     compute_sets, compute_sets_timed, consistent,
-                     csd_membership, enumerate_models, equivalence_classes,
-                     lex_compare, no_membership, optimal_in_model,
-                     outcome_comparison, po_membership, pso_membership,
-                     satisfies)
+                     compose, compute_sets, compute_sets_timed, consistent,
+                     csd_membership, entails, enumerate_models,
+                     equivalence_classes, lex_compare, no_membership,
+                     optimal_in_model, outcome_comparison, po_membership,
+                     pso_membership, satisfies)
 from lexpref.core import iter_bits
 from lexpref.engine import EncodedGamma, consistent_with_comparisons
 from lexpref.generator import GenConfig, gen_instance
@@ -417,3 +417,54 @@ class TestCertificates:
                     "no": got.no} == want
         assert all(c <= p for c, p in zip(cached, plain)), (cached, plain)
         assert sum(cached) < sum(plain), (cached, plain)
+
+
+# One-variable spaces that differ only in their variable's name.
+X_SPACE, Y_SPACE = (VariableSpace([v], {v: ["a", "b"]}) for v in "xy")
+X_MODEL = X_SPACE.model([("x", ["b", "a"])])
+Y_MODEL = Y_SPACE.model([("y", ["b", "a"])])
+Y_ALTS = AlternativeSet(Y_SPACE, [Outcome(Y_SPACE, (0,)),
+                                  Outcome(Y_SPACE, (1,))])
+OTHER_ALTS = "alternatives built over a different space"
+
+
+class TestRejectedArguments:
+    """Each check that a call's arguments share one space, and the other
+    argument checks of the model and optimality layers."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: LexModel(X_SPACE, [Y_SPACE.value_order("y", ["b", "a"])]),
+         "stage built over a different space"),
+        (lambda: lex_compare(X_MODEL, Y_ALTS[0], Y_ALTS[1]),
+         "outcomes must live in the model's space"),
+        (lambda: compose(X_MODEL, Y_MODEL), "models must share a space"),
+        (lambda: canonicalize(X_SPACE, Y_SPACE.partial({"y": "a"}),
+                              Y_SPACE.partial({"y": "b"}), [],
+                              StatementKind.NON_STRICT),
+         "sides built over a different space"),
+        (lambda: EncodedGamma(X_SPACE, [outcome_comparison(
+            Y_SPACE, Y_ALTS[0], Y_ALTS[1], strict=False)]),
+         "statement built over a different space"),
+        (lambda: AlternativeSet(X_SPACE, Y_ALTS),
+         "alternative built over a different space"),
+        (lambda: optimal_in_model(X_MODEL, Y_ALTS), OTHER_ALTS),
+        (lambda: compute_sets(X_SPACE, [], Y_ALTS), OTHER_ALTS),
+        (lambda: equivalence_classes(X_SPACE, [], Y_ALTS), OTHER_ALTS),
+        (lambda: po_membership(X_SPACE, [], Y_ALTS, Y_ALTS[0]), OTHER_ALTS),
+        (lambda: pso_membership(X_SPACE, [], Y_ALTS, Y_ALTS[0]), OTHER_ALTS),
+        (lambda: csd_membership(X_SPACE, [], Y_ALTS, Y_ALTS[0]), OTHER_ALTS),
+        (lambda: no_membership(X_SPACE, [], Y_ALTS, Y_ALTS[0]), OTHER_ALTS),
+        (lambda: AlternativeSet(Y_SPACE, Y_ALTS[:1]).index_of(Y_ALTS[1]),
+         "outcome is not one of the alternatives"),
+        (lambda: entails(X_SPACE, [], "<", Outcome(X_SPACE, (0,)),
+                         Outcome(X_SPACE, (1,))),
+         "unknown comparison operator '<'"),
+    ], ids=["LexModel", "lex_compare", "compose", "canonicalize",
+            "EncodedGamma", "AlternativeSet", "optimal_in_model",
+            "compute_sets", "equivalence_classes", "po_membership",
+            "pso_membership", "csd_membership", "no_membership", "index_of",
+            "entails"])
+    def test_raises(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message

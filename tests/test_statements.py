@@ -10,14 +10,15 @@ from helpers import (FLIGHT_A, FLIGHT_B, FLIGHT_G, FLIGHT_SPACE,
                      random_model, random_statement, reference_satisfies,
                      small_space)
 from lexpref import (CapExceededError, Cmp, LexModel, PartialAssignment,
-                     StatementKind, TotalValueOrder, VariableSpace,
-                     canonicalize, compose, extends, inner_statement,
-                     lex_compare, negate_non_strict, outcome_comparison, pairs,
-                     projection, satisfies, satisfies_star,
-                     statement_consistent)
+                     PrefStatement, StatementKind, TotalValueOrder,
+                     VariableSpace, canonicalize, compose, extends,
+                     inner_statement, lex_compare, negate_non_strict,
+                     outcome_comparison, pairs, projection, satisfies,
+                     satisfies_star, statement_consistent)
 from lexpref.rng import SplitMix64
 
 SP = FLIGHT_SPACE
+ONE_VALUE = VariableSpace(["x", "y"], {"x": ["a", "b"], "y": ["c"]})
 
 
 def flight_statement(kind=StatementKind.NON_STRICT):
@@ -72,6 +73,31 @@ class TestCanonicalize:
     def test_negation_of_strict_rejected(self):
         with pytest.raises(ValueError):
             negate_non_strict(flight_statement(StatementKind.WEAKLY_STRICT))
+
+    @pytest.mark.parametrize("space,kind,u,r,s,t_mask,message", [
+        (SP, StatementKind.NON_STRICT, SP.partial({"airline": "KLM"}),
+         SP.partial({"airline": "KLM"}), SP.partial({"airline": "LAN"}), 0,
+         "blocks U, T and R|S must be pairwise disjoint"),
+        (SP, StatementKind.NON_STRICT, SP.partial({}),
+         SP.partial({"airline": "KLM"}), SP.partial({"airline": "LAN"}),
+         1 << 3, "held-constant set mentions unknown variables"),
+        (ONE_VALUE, StatementKind.NON_STRICT, ONE_VALUE.partial({}),
+         ONE_VALUE.partial({"x": "a"}), ONE_VALUE.partial({"x": "b"}), 0,
+         "one-value variables belong in the held set"),
+        (SP, StatementKind.NON_STRICT, SP.partial({}),
+         SP.partial({"airline": "KLM"}), SP.partial({"airline": "KLM"}), 0,
+         "sides agree on 'airline'; that variable belongs in the agreement "
+         "block"),
+        (SP, StatementKind.NEGATED_NON_STRICT, SP.partial({}),
+         SP.partial({"airline": "KLM"}), SP.partial({"time": "day"}), 0,
+         "only non-strict statements with matching difference variable sets "
+         "can be negated"),
+    ], ids=["overlap", "unknown-held", "one-value", "agree", "negation"])
+    def test_constructor_rejects_bad_blocks(self, space, kind, u, r, s,
+                                            t_mask, message):
+        with pytest.raises(ValueError) as err:
+            PrefStatement(space, kind, u, r, s, t_mask)
+        assert str(err.value) == message
 
     def test_out_of_domain_value_rejected(self):
         with pytest.raises(ValueError):
