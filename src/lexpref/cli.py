@@ -36,7 +36,6 @@ from .optimality import compute_sets_timed
 from .oracle import (MODEL_CAP_DEFAULT, brute_consistent, brute_optimal_sets,
                      model_count)
 from .rng import derive_seed
-from .statements import outcome_comparison
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -68,32 +67,6 @@ def _write_output(path: str, text: str) -> None:
         raise LexPrefError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-_json_str = json.encoder.encode_basestring_ascii
-
-
-def _json_indented(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, for a tree of dicts
-    with string keys and lists over strings and other JSON scalars.
-
-    Given an indent, the stdlib encodes with its pure-Python encoder; this
-    writes each container with one join instead, and only scalars other
-    than strings through :func:`json.dumps`.
-    """
-    kind = type(value)
-    if kind is str:
-        return _json_str(value)
-    if not value or (kind is not list and kind is not dict):
-        return json.dumps(value)
-    inner = indent + "  "
-    if kind is dict:
-        parts = [f"{_json_str(k)}: {_json_indented(v, inner)}"
-                 for k, v in value.items()]
-        return "{" + inner + f",{inner}".join(parts) + indent + "}"
-    parts = [_json_str(v) if type(v) is str else _json_indented(v, inner)
-             for v in value]
-    return "[" + inner + f",{inner}".join(parts) + indent + "]"
-
-
 def _witness_json(result) -> list[list]:
     return [[st.variable, list(st.ranking_names())]
             for st in result.witness.stages]
@@ -113,7 +86,7 @@ def cmd_check(args) -> int:
             "statement_count": len(instance.statements),
             "test_count": result.test_count,
         }
-        print(_json_indented(payload))
+        print(json.dumps(payload, indent=2))
     else:
         print("consistent" if result.consistent else "inconsistent")
         print(f"witness: {result.witness.format()}")
@@ -130,22 +103,17 @@ def cmd_infer(args) -> int:
     instance = _load(args.file)
     query = parse_query(instance, args.query)
     space, gamma = instance.space, instance.statements
-    if query[0] == "cmp" and query[1] == "==":
+    if isinstance(query, tuple):    # A == B
         if args.max_model:
             raise UnsupportedQueryError(
                 "maximal-model inference does not support '=='")
-        verdict = entails(space, gamma, *query[1:])
+        verdict = entails(space, gamma, "==", *query)
     else:
-        if query[0] == "cmp":
-            _, op, left, right = query
-            st = outcome_comparison(space, left, right, strict=op == ">")
-        else:
-            _, st = query
         verdict = (entails_max if args.max_model
-                   else entails_general)(space, gamma, st)
+                   else entails_general)(space, gamma, query)
     if args.json:
-        print(_json_indented({"query": args.query, "entailed": verdict,
-                              "max_model": bool(args.max_model)}))
+        print(json.dumps({"query": args.query, "entailed": verdict,
+                          "max_model": bool(args.max_model)}, indent=2))
     else:
         print("entailed" if verdict else "not entailed")
     return EXIT_OK if verdict else EXIT_NEGATIVE
@@ -190,7 +158,7 @@ def cmd_optimal(args) -> int:
                                  for cls in sets.eq_classes]
         if oracle_report is not None:
             payload["oracle"] = oracle_report
-        print(_json_indented(payload))
+        print(json.dumps(payload, indent=2))
     else:
         for name in wanted:
             members = ", ".join(render(getattr(sets, name)))
@@ -292,7 +260,7 @@ def cmd_oracle(args) -> int:
         for key in _SET_NAMES:
             report[key] = [names[i] for i in sorted(getattr(brute, key))]
     if args.json:
-        print(_json_indented(report))
+        print(json.dumps(report, indent=2))
     else:
         print("consistent" if ok else "inconsistent")
         print(f"models: {len(models)} of {count} satisfy")

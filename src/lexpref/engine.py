@@ -197,6 +197,10 @@ def valid_extension(space: VariableSpace, gamma: Sequence[PrefStatement],
     last, remaining values by smallest-index topological order over the
     required pairs.
     """
+    if model.space is not space and model.space != space:
+        raise ValueError("model built over a different space")
+    if any(st.space is not space and st.space != space for st in gamma):
+        raise ValueError("statement built over a different space")
     x = space.var_index(variable)
     bit = 1 << x
     if model.vmask & bit:
@@ -267,6 +271,9 @@ def entails(space: VariableSpace, gamma: Sequence[PrefStatement], op: str,
         return entails_general(space, gamma, outcome_comparison(
             space, left, right, strict=op == ">"))
     if op == "==":
+        if any(o.space is not space and o.space != space
+               for o in (left, right)):
+            raise ValueError("outcomes built over a different space")
         res = consistent(space, gamma, verify=False)
         if not res.consistent:
             return True
@@ -321,10 +328,8 @@ def entails_max(space: VariableSpace, gamma: Sequence[PrefStatement],
     when adding the negation shrinks the maximal-model variable set.
     """
     neg = negation_of(statement)
-    base = consistent(space, gamma, verify=False)
-    if not base.consistent:
-        raise InconsistentError("statement set has no model")
+    base = v_gamma(space, gamma)
     aug = consistent(space, tuple(gamma) + (neg,), verify=False)
     if not aug.consistent:
         return True
-    return aug.v_gamma != base.v_gamma
+    return aug.v_gamma != base

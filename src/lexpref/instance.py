@@ -413,23 +413,24 @@ def parse_instance(text: str) -> Instance:
 
 
 def parse_query(instance: Instance, text: str):
-    """An inference query: outcome comparison or statement expression.
+    """An inference query: the statement it asks about, or for ``A == B``
+    the pair of outcomes ``(A, B)``.
 
-    Returns ``("cmp", op, left, right)`` for ``NAME >=|>|== NAME`` or
-    ``("stmt", statement)`` for anything in statement syntax.
+    Every other shape is read as on a ``stmt`` line, an outcome comparison
+    included.  Between two complete outcomes ``A >> B`` is the same query
+    as ``A > B``: both sides assign every variable, so the two strict
+    readings ask for a stage on the same variables.
     """
     try:
         match = _shape(text, 0, query=True)
-        if match.re is _STMT_RE:
-            # one statement is read faster in full than a table is built
-            return ("stmt", _statement(match, instance.space, None,
-                                       instance.outcomes, "query"))
-        left, right = (_outcome(instance.outcomes, match[side])
-                       for side in ("left", "right"))
+        if match.re is _CMP_RE and match["op"] == "==":
+            return tuple(_outcome(instance.outcomes, match[side])
+                         for side in ("left", "right"))
+        # one statement is read faster in full than a table is built
+        return _statement(match, instance.space, None, instance.outcomes,
+                          "query")
     except ValueError as exc:
         raise ParseError(f"query: {exc}", None) from None
-    op = match["op"]
-    return ("cmp", ">" if op == ">>" else op, left, right)
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")

@@ -66,6 +66,8 @@ class PrefStatement:
     def __init__(self, space: VariableSpace, kind: StatementKind,
                  u: PartialAssignment, r: PartialAssignment,
                  s: PartialAssignment, t_mask: int, label: str | None = None):
+        if any(b.space is not space and b.space != space for b in (u, r, s)):
+            raise ValueError("blocks built over a different space")
         u_mask, r_mask, s_mask = u.mask, r.mask, s.mask
         rs_union = r_mask | s_mask
         if (u_mask & t_mask) | ((u_mask | t_mask) & rs_union):
@@ -178,6 +180,8 @@ def canonicalize(space: VariableSpace, p: PartialAssignment,
 def outcome_comparison(space: VariableSpace, left: Outcome, right: Outcome,
                        strict: bool, label: str | None = None) -> PrefStatement:
     """The comparison of two complete outcomes as a canonical statement."""
+    if any(o.space is not space and o.space != space for o in (left, right)):
+        raise ValueError("outcomes built over a different space")
     p = PartialAssignment(space, dict(enumerate(left.values)))
     q = PartialAssignment(space, dict(enumerate(right.values)))
     kind = StatementKind.WEAKLY_STRICT if strict else StatementKind.NON_STRICT
@@ -251,6 +255,11 @@ def _nonstrict_holds(model: LexModel, st: PrefStatement) -> bool:
     return rank[st.r.vals[x]] < rank[st.s.vals[x]]
 
 
+def _check_space(model: LexModel, statement: PrefStatement) -> None:
+    if statement.space is not model.space and statement.space != model.space:
+        raise ValueError("statement built over a different space")
+
+
 def satisfies(model: LexModel, statement: PrefStatement) -> bool:
     """Whether the model satisfies the statement.
 
@@ -258,6 +267,7 @@ def satisfies(model: LexModel, statement: PrefStatement) -> bool:
     over the model's stage-prefix masks (built once per model), after one
     check per R-only or S-only variable staged before it.
     """
+    _check_space(model, statement)
     kind = statement.kind
     if kind is StatementKind.NON_STRICT:
         return _nonstrict_holds(model, statement)
@@ -276,6 +286,7 @@ def satisfies_star(model: LexModel, statement: PrefStatement) -> bool:
     Only defined for individually consistent statements; callers must
     screen inconsistent ones out first.
     """
+    _check_space(model, statement)
     if not statement_consistent(statement):
         raise ValueError("statement is not individually consistent")
     if statement.kind is StatementKind.NEGATED_NON_STRICT:

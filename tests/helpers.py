@@ -122,6 +122,43 @@ def all_two_three_spaces() -> list[VariableSpace]:
     return spaces
 
 
+def all_statements(space: VariableSpace) -> list:
+    """Every canonical statement over ``space``, once each.
+
+    Per variable the blocks are T, W, U(v), RS(a, b) with a != b, R(v) and
+    S(v), with no R or S for a negation.  Each choice of one block per
+    variable is built for each of the four kinds through ``canonicalize``
+    (which moves one-value variables to T), and duplicates are dropped by
+    block.
+    """
+    out, seen = [], set()
+    for kind in StatementKind:
+        negated = kind is StatementKind.NEGATED_NON_STRICT
+        per_var = []
+        for x in range(space.n):
+            d = range(space.domain_size(x))
+            # (held, left value, right value); W is neither held nor valued
+            blocks = [(True, None, None), (False, None, None)]
+            blocks += [(False, a, b) for a in d for b in d]   # U and RS
+            if not negated:
+                blocks += [(False, v, None) for v in d]       # R
+                blocks += [(False, None, v) for v in d]       # S
+            per_var.append(blocks)
+        for choice in itertools.product(*per_var):
+            p = {x: a for x, (_, a, _) in enumerate(choice) if a is not None}
+            q = {x: b for x, (_, _, b) in enumerate(choice) if b is not None}
+            held = sum(1 << x for x, (h, _, _) in enumerate(choice) if h)
+            st = canonicalize(space, PartialAssignment(space, p),
+                              PartialAssignment(space, q), held, kind)
+            key = (kind, tuple(sorted(st.u.vals.items())),
+                   tuple(sorted(st.r.vals.items())),
+                   tuple(sorted(st.s.vals.items())), st.t_mask)
+            if key not in seen:
+                seen.add(key)
+                out.append(st)
+    return out
+
+
 def reference_encoding(space: VariableSpace, statements) -> dict:
     """What ``EncodedGamma``'s tables must hold for ``statements``.
 

@@ -9,9 +9,9 @@ import pytest
 import lexpref.instance
 from lexpref import (GenConfig, Instance, ParseError, PartialAssignment,
                      PrefStatement, StatementKind, VariableSpace,
-                     canonicalize, consistent, entails, format_instance,
-                     gen_instance, negate_non_strict, parse_instance,
-                     parse_query)
+                     canonicalize, consistent, entails, entails_general,
+                     format_instance, gen_instance, negate_non_strict,
+                     parse_instance, parse_query)
 from lexpref.cli import main as cli_main
 from lexpref.instance import (_CMP_RE, _OPS, _QUERY_SHAPES, _SHAPES,
                               _STMT_RE, _assignment, _item_table,
@@ -137,9 +137,9 @@ stmt s5: [] >= [x=a]
         inst = parse_instance(text)
         assert inst.statements[0].kind is StatementKind.WEAKLY_STRICT
         assert inst.statements[0].r.as_dict() == {"x": "a"}
-        kind, op, left, _ = parse_query(inst, "not > s")
-        assert (kind, op) == ("cmp", ">")
-        assert left is inst.outcomes["not"]
+        st = parse_query(inst, "not > s")
+        assert st.kind is StatementKind.WEAKLY_STRICT
+        assert st.r.as_dict() == {"x": "a"}
 
     def test_repeated_held_variable_is_held_once(self):
         inst = parse_instance("var x: a, b\nvar y: c, d\n"
@@ -258,25 +258,31 @@ class TestParseErrors:
 class TestQueries:
     def test_comparison_queries(self):
         inst = parse_instance(FLIGHT_FILE)
-        kind, op, left, right = parse_query(inst, "g > d")
-        assert kind == "cmp" and op == ">"
-        assert left.value_name("airline") == "LAN"
-        assert entails(inst.space, inst.statements, op, left, right)
-        kind, op, _, _ = parse_query(inst, "a == b")
-        assert op == "=="
-        kind, op, _, _ = parse_query(inst, "a >> b")
-        assert op == ">"    # complete outcomes: both strict forms coincide
+        st = parse_query(inst, "g > d")
+        assert st.kind is StatementKind.WEAKLY_STRICT
+        assert st.u.as_dict() == {"airline": "LAN"}
+        assert st.r.as_dict() == {"time": "day", "class": "economy"}
+        assert entails_general(inst.space, inst.statements, st)
+        left, right = parse_query(inst, "a == b")
+        assert (left, right) == (inst.outcomes["a"], inst.outcomes["b"])
+        # read as a stmt line reads it; between complete outcomes the two
+        # strict readings give one verdict
+        st = parse_query(inst, "a >> b")
+        assert st.kind is StatementKind.FULLY_STRICT
+        assert st.r_mask == st.s_mask and st.w_mask == 0
+        assert (entails_general(inst.space, inst.statements, st)
+                == entails(inst.space, inst.statements, ">",
+                           inst.outcomes["a"], inst.outcomes["b"]))
 
     def test_statement_query(self):
         inst = parse_instance(FLIGHT_FILE)
-        kind, st = parse_query(inst, "[airline=KLM] >= [airline=LAN] || {time}")
-        assert kind == "stmt"
+        st = parse_query(inst, "[airline=KLM] >= [airline=LAN] || {time}")
+        assert st.kind is StatementKind.NON_STRICT
         assert st.r_vars == frozenset({"airline"})
 
     def test_negated_statement_query(self):
         inst = parse_instance(FLIGHT_FILE)
-        kind, st = parse_query(inst, "not ([airline=KLM] >= [airline=LAN])")
-        assert kind == "stmt"
+        st = parse_query(inst, "not ([airline=KLM] >= [airline=LAN])")
         assert st.kind is StatementKind.NEGATED_NON_STRICT
 
     def test_query_errors_count_columns_from_the_query(self):
@@ -421,12 +427,12 @@ class TestItemTable:
                         alt_names=())
         for p, q in (("a=b=c", "a=d"), ("a=b=c, u=on", "a=d"),
                      ("a = b=c", "a=d"), (" u=on ", "a=d")):
-            _, st = parse_query(inst, f"[{p}] >= [{q}]")
+            st = parse_query(inst, f"[{p}] >= [{q}]")
             want = canonicalize(AWKWARD, AWKWARD.partial(_assignment(p)),
                                 AWKWARD.partial(_assignment(q)), 0,
                                 StatementKind.NON_STRICT, label="query")
             assert (st.u, st.r, st.s) == (want.u, want.r, want.s)
-        _, st = parse_query(inst, "[a=b=c] >= []")
+        st = parse_query(inst, "[a=b=c] >= []")
         assert st.r.as_dict() == {"a": "b=c"}
 
 
@@ -561,8 +567,8 @@ class TestStatementRoute:
         monkeypatch.setattr(lexpref.instance, "_item_table", no_table)
         for line, (status, want) in zip(lines, wants):
             if status == "ok":
-                kind, st = parse_query(inst, line)
-                assert kind == "stmt" and _blocks(st) == _blocks(want), line
+                st = parse_query(inst, line)
+                assert _blocks(st) == _blocks(want), line
             else:
                 with pytest.raises(ParseError) as err:
                     parse_query(inst, line)

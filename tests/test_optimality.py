@@ -5,13 +5,14 @@ import pytest
 from helpers import (FLIGHT_A, FLIGHT_B, FLIGHT_D, FLIGHT_G,
                      FLIGHT_SPACE, random_gamma, small_space, stage_model)
 from lexpref import (AlternativeSet, Cmp, InconsistentError, LexModel,
-                     OptimalSets, Outcome, StatementKind, VariableSpace,
-                     brute_consistent, brute_optimal_sets, canonicalize,
-                     compose, compute_sets, compute_sets_timed, consistent,
-                     csd_membership, entails, enumerate_models,
+                     OptimalSets, Outcome, PrefStatement, StatementKind,
+                     VariableSpace, brute_consistent, brute_optimal_sets,
+                     canonicalize, compose, compute_sets, compute_sets_timed,
+                     consistent, csd_membership, entails, enumerate_models,
                      equivalence_classes, lex_compare, no_membership,
                      optimal_in_model, outcome_comparison, po_membership,
-                     pso_membership, satisfies)
+                     pso_membership, satisfies, satisfies_star,
+                     valid_extension)
 from lexpref.core import iter_bits
 from lexpref.engine import EncodedGamma, consistent_with_comparisons
 from lexpref.generator import GenConfig, gen_instance
@@ -426,6 +427,11 @@ Y_MODEL = Y_SPACE.model([("y", ["b", "a"])])
 Y_ALTS = AlternativeSet(Y_SPACE, [Outcome(Y_SPACE, (0,)),
                                   Outcome(Y_SPACE, (1,))])
 OTHER_ALTS = "alternatives built over a different space"
+Y_STMT = outcome_comparison(Y_SPACE, Y_ALTS[0], Y_ALTS[1], strict=False)
+# a space whose first variable is X_SPACE's, and one more
+XZ_SPACE = VariableSpace(["x", "z"], {"x": ["a", "b"], "z": ["a", "b"]})
+OTHER_STMT = "statement built over a different space"
+OTHER_OUTCOMES = "outcomes built over a different space"
 
 
 class TestRejectedArguments:
@@ -442,9 +448,7 @@ class TestRejectedArguments:
                               Y_SPACE.partial({"y": "b"}), [],
                               StatementKind.NON_STRICT),
          "sides built over a different space"),
-        (lambda: EncodedGamma(X_SPACE, [outcome_comparison(
-            Y_SPACE, Y_ALTS[0], Y_ALTS[1], strict=False)]),
-         "statement built over a different space"),
+        (lambda: EncodedGamma(X_SPACE, [Y_STMT]), OTHER_STMT),
         (lambda: AlternativeSet(X_SPACE, Y_ALTS),
          "alternative built over a different space"),
         (lambda: optimal_in_model(X_MODEL, Y_ALTS), OTHER_ALTS),
@@ -459,11 +463,27 @@ class TestRejectedArguments:
         (lambda: entails(X_SPACE, [], "<", Outcome(X_SPACE, (0,)),
                          Outcome(X_SPACE, (1,))),
          "unknown comparison operator '<'"),
+        (lambda: entails(X_SPACE, [], ">=", *Y_ALTS), OTHER_OUTCOMES),
+        (lambda: entails(XZ_SPACE, [], "==", Outcome(X_SPACE, (0,)),
+                         Outcome(X_SPACE, (0,))), OTHER_OUTCOMES),
+        (lambda: outcome_comparison(X_SPACE, *Y_ALTS, strict=True),
+         OTHER_OUTCOMES),
+        (lambda: PrefStatement(X_SPACE, StatementKind.NON_STRICT,
+                               Y_STMT.u, Y_STMT.r, Y_STMT.s, 0),
+         "blocks built over a different space"),
+        (lambda: valid_extension(X_SPACE, [Y_STMT], LexModel(X_SPACE), "x"),
+         OTHER_STMT),
+        (lambda: valid_extension(X_SPACE, [], LexModel(Y_SPACE), "x"),
+         "model built over a different space"),
+        (lambda: satisfies(X_MODEL, Y_STMT), OTHER_STMT),
+        (lambda: satisfies_star(X_MODEL, Y_STMT), OTHER_STMT),
     ], ids=["LexModel", "lex_compare", "compose", "canonicalize",
             "EncodedGamma", "AlternativeSet", "optimal_in_model",
             "compute_sets", "equivalence_classes", "po_membership",
             "pso_membership", "csd_membership", "no_membership", "index_of",
-            "entails"])
+            "entails", "entails_cmp", "entails_eq", "outcome_comparison",
+            "PrefStatement", "valid_extension", "valid_extension_model",
+            "satisfies", "satisfies_star"])
     def test_raises(self, call, message):
         with pytest.raises(ValueError) as err:
             call()
