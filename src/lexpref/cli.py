@@ -4,10 +4,10 @@ Subcommands::
 
     check FILE [--json]            consistency verdict + witness model
     infer FILE --query "a > b"     entailment verdict
-    optimal FILE --set all|po|pso|csd|no [--oracle]
+    optimal FILE --set all|po|pso|csd|no
     gen --vars N --stmts G --alts M --seed K -o FILE
     bench --vars LIST --stmts LIST --alts M --reps R --seed K -o CSV
-    oracle FILE                    brute-force cross-check at small scale
+    oracle FILE                    brute-force check of verdict and sets
 
 Exit codes: 0 success / positive verdict, 1 inconsistent or negative
 verdict, 2 usage error, 3 input error, 141 (128 + SIGPIPE) standard output
@@ -127,9 +127,9 @@ def cmd_optimal(args) -> int:
     alternatives = instance.alternatives
     if alternatives is None:
         raise ParseError("instance has no 'alts:' line")
-    space, gamma = instance.space, instance.statements
     try:
-        sets, _ = compute_sets_timed(space, gamma, alternatives)
+        sets, _ = compute_sets_timed(instance.space, instance.statements,
+                                     alternatives)
     except InconsistentError:
         print("inconsistent", file=sys.stderr)
         return EXIT_NEGATIVE
@@ -139,32 +139,15 @@ def cmd_optimal(args) -> int:
     def render(indices) -> list[str]:
         return [names[i] for i in sorted(indices)]
 
-    oracle_report = None
-    if args.oracle:
-        count = model_count(space)
-        if count > args.oracle_cap:
-            oracle_report = (f"oracle skipped: {count} models exceed "
-                             f"cap {args.oracle_cap}")
-        else:
-            brute = brute_optimal_sets(space, gamma, alternatives,
-                                       cap=args.oracle_cap)
-            diffs = [name for name in _SET_NAMES
-                     if getattr(sets, name) != getattr(brute, name)]
-            oracle_report = ("oracle agrees" if not diffs
-                             else "oracle DISAGREES on: " + ", ".join(diffs))
     if args.json:
         payload = {name: render(getattr(sets, name)) for name in wanted}
         payload["eq_classes"] = [[names[i] for i in cls]
                                  for cls in sets.eq_classes]
-        if oracle_report is not None:
-            payload["oracle"] = oracle_report
         print(json.dumps(payload, indent=2))
     else:
         for name in wanted:
             members = ", ".join(render(getattr(sets, name)))
             print(f"{name.upper()}: {{{members}}}")
-        if oracle_report is not None:
-            print(oracle_report)
     return EXIT_OK
 
 
@@ -256,6 +239,10 @@ def cmd_oracle(args) -> int:
     alternatives = instance.alternatives
     if ok and alternatives is not None:
         brute = brute_optimal_sets(space, gamma, alternatives, cap=args.cap)
+        if report["engine_agrees"]:
+            sets, _ = compute_sets_timed(space, gamma, alternatives)
+            report["engine_agrees"] = all(
+                getattr(sets, key) == getattr(brute, key) for key in _SET_NAMES)
         names = instance.alt_names
         for key in _SET_NAMES:
             report[key] = [names[i] for i in sorted(getattr(brute, key))]
@@ -300,9 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
                                        "alternatives")
     p.add_argument("file")
     p.add_argument("--set", choices=("all",) + _SET_NAMES, default="all")
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check against brute-force enumeration")
-    p.add_argument("--oracle-cap", type=int, default=MODEL_CAP_DEFAULT)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_optimal)
 

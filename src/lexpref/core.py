@@ -376,6 +376,8 @@ class LexModel:
 
     def key(self, outcome: Outcome) -> tuple[int, ...]:
         """Stage-wise rank vector; lexicographically smaller means better."""
+        if outcome.space is not self.space and outcome.space != self.space:
+            raise ValueError("outcome built over a different space")
         values = outcome.values
         return tuple(st.rank_of[values[st.var]] for st in self.stages)
 

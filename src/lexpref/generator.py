@@ -57,16 +57,12 @@ class GenConfig:
     seed: int
     domain_min: int = 2
     domain_max: int = 3
-    kind_mix: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
 
     def __post_init__(self):
         if self.n < 1 or self.g < 1 or self.m < 1:
             raise ValueError("n, g and m must all be at least 1")
         if not 1 <= self.domain_min <= self.domain_max <= 9:
             raise ValueError("domain sizes must satisfy 1 <= min <= max <= 9")
-        if len(self.kind_mix) != 4 or any(w < 0 for w in self.kind_mix) \
-                or sum(self.kind_mix) <= 0:
-            raise ValueError("kind_mix must be four non-negative weights")
 
 
 @dataclass(frozen=True)
@@ -77,18 +73,12 @@ class GeneratedInstance:
     hidden_model: LexModel
 
 
-def _kind_sequence(rng: SplitMix64, g: int,
-                   mix: tuple[float, float, float, float]) -> list[StatementKind]:
-    """Counts by largest remainder (within one of exact), then shuffled."""
-    total = sum(mix)
-    quotas = [g * w / total for w in mix]
-    counts = [int(q) for q in quotas]
-    remainders = sorted(range(4), key=lambda i: (-(quotas[i] - counts[i]), i))
-    for i in range(g - sum(counts)):
-        counts[remainders[i % 4]] += 1
+def _kind_sequence(rng: SplitMix64, g: int) -> list[StatementKind]:
+    """Equal counts of the four kinds (the first ``g % 4`` get one more),
+    then shuffled."""
     kinds: list[StatementKind] = []
-    for kind, count in zip(_KIND_ORDER, counts):
-        kinds.extend([kind] * count)
+    for i, kind in enumerate(_KIND_ORDER):
+        kinds.extend([kind] * (g // 4 + (i < g % 4)))
     rng.shuffle(kinds)
     return kinds
 
@@ -117,7 +107,7 @@ def gen_instance(cfg: GenConfig) -> GeneratedInstance:
         raise ValueError("statement generation needs a variable with at "
                          "least two values")
 
-    kinds = _kind_sequence(rng, cfg.g, cfg.kind_mix)
+    kinds = _kind_sequence(rng, cfg.g)
     gamma = []
     for idx, kind in enumerate(kinds):
         gamma.append(_draw_statement(rng, space, hidden, stage_order,

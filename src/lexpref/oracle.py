@@ -120,6 +120,8 @@ def brute_optimal_sets(space: VariableSpace, gamma: Sequence[PrefStatement],
     Requires a consistent statement set.
     """
     alts = list(alternatives)
+    if any(a.space is not space and a.space != space for a in alts):
+        raise ValueError("alternative built over a different space")
     m = len(alts)
     ok, satisfying = brute_consistent(space, gamma, cap=cap, models=models)
     if not ok:

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -113,17 +114,12 @@ class TestOptimal:
         assert payload["po"] == ["a"]
         assert "eq_classes" in payload
 
-    def test_oracle_cross_check(self, flight_file, capsys):
-        code = main(["optimal", flight_file, "--oracle"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "oracle agrees" in out
-
-    def test_oracle_refuses_over_cap(self, flight_file, capsys):
-        code = main(["optimal", flight_file, "--oracle", "--oracle-cap", "10"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "oracle skipped" in out
+    @pytest.mark.parametrize("flags", [["--oracle"],
+                                       ["--oracle-cap", "10"]])
+    def test_oracle_flags_are_usage_errors(self, flight_file, capsys, flags):
+        # the brute-force cross-check is `lexpref oracle`'s alone
+        assert main(["optimal", flight_file] + flags) == 2
+        capsys.readouterr()
 
     def test_missing_alternatives_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "noalts.lpq"
@@ -255,7 +251,7 @@ class TestPinnedOutputs:
 class TestJsonOutput:
     @pytest.mark.parametrize("argv", [
         ["check"], ["optimal"], ["optimal", "--set", "po"],
-        ["optimal", "--oracle"], ["oracle"],
+        ["oracle"],
         ["infer", "--query", "a > b"], ["infer", "--query", "a == b"]])
     def test_every_json_command_prints_what_json_dumps_prints(
             self, flight_file, capsys, argv):
@@ -287,6 +283,27 @@ class TestOracleCommand:
         code = main(["oracle", flight_file, "--cap", "10"])
         assert code == 3
         assert "refused" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_set_disagreement_is_input_error(self, flight_file, capsys,
+                                             monkeypatch, json_flag):
+        real = cli.compute_sets_timed
+
+        def wrong_po(space, gamma, alternatives):
+            sets, times = real(space, gamma, alternatives)
+            every = frozenset(range(len(alternatives)))
+            return dataclasses.replace(sets, po=every), times
+
+        monkeypatch.setattr(cli, "compute_sets_timed", wrong_po)
+        code = main(["oracle", flight_file] + json_flag)
+        out = capsys.readouterr().out
+        assert code == 3
+        if json_flag:
+            payload = json.loads(out)
+            assert payload["engine_agrees"] is False
+            assert payload["po"] == ["a"]    # the brute-force sets
+        else:
+            assert "engine DISAGREES" in out
 
 
 class TestParserReuse:

@@ -7,9 +7,12 @@ smallest space with two two-value variables (336 canonical statements,
 shared by every oracle call.
 """
 
+import itertools
+
 from helpers import all_statements
-from lexpref import (StatementKind, VariableSpace, brute_consistent,
-                     brute_entails, brute_maximal_models, consistent,
+from lexpref import (AlternativeSet, StatementKind, VariableSpace,
+                     brute_consistent, brute_entails, brute_maximal_models,
+                     brute_optimal_sets, compute_sets, consistent,
                      entails_general, entails_max, enumerate_models,
                      parse_instance, parse_query, satisfies)
 
@@ -69,4 +72,26 @@ def test_every_outcome_query_matches_the_oracle():
                 mismatches.append(("max", gamma, query))
             checks += 1
     assert checks == 16_176
+    assert not mismatches, mismatches[:5]
+
+
+def test_every_optimal_set_matches_the_oracle():
+    # Every consistent premise set of at most one statement, against each
+    # non-empty set of the four outcomes; the brute MPO and POM sets must
+    # equal PSO there too.
+    outcomes = list(parse_instance(OUTCOME_FILE).outcomes.values())
+    alt_sets = [AlternativeSet(SPACE, combo) for k in range(1, 5)
+                for combo in itertools.combinations(outcomes, k)]
+    gammas = [gamma for gamma in [()] + [(st,) for st in STATEMENTS]
+              if brute_consistent(SPACE, gamma, models=MODELS)[0]]
+    assert len(gammas) == 248 and len(alt_sets) == 15
+    mismatches = []
+    for gamma in gammas:
+        for alts in alt_sets:
+            want = brute_optimal_sets(SPACE, gamma, alts, models=MODELS)
+            got = compute_sets(SPACE, gamma, alts)
+            if (any(getattr(got, name) != getattr(want, name)
+                    for name in ("po", "pso", "csd", "no"))
+                    or not want.mpo == want.pom == want.pso):
+                mismatches.append((gamma, alts))
     assert not mismatches, mismatches[:5]

@@ -72,11 +72,6 @@ class TestShape:
             for kind in StatementKind:
                 assert lo <= counts.get(kind, 0) <= hi
 
-    def test_custom_kind_mix(self):
-        cfg = small_cfg(g=10, kind_mix=(1.0, 0.0, 0.0, 0.0))
-        gen = gen_instance(cfg)
-        assert all(st.kind is StatementKind.FULLY_STRICT for st in gen.gamma)
-
     def test_alternatives_distinct_and_counted(self):
         gen = gen_instance(small_cfg(m=20))
         assert len(gen.alternatives) == 20
@@ -112,7 +107,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             gen_instance(GenConfig(n=2, g=1, m=5, seed=0,
                                    domain_min=2, domain_max=2))
-
-    def test_rejects_bad_mix(self):
-        with pytest.raises(ValueError):
-            GenConfig(n=2, g=2, m=2, seed=0, kind_mix=(1.0, 0.0, 0.0))

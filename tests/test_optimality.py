@@ -477,13 +477,17 @@ class TestRejectedArguments:
          "model built over a different space"),
         (lambda: satisfies(X_MODEL, Y_STMT), OTHER_STMT),
         (lambda: satisfies_star(X_MODEL, Y_STMT), OTHER_STMT),
+        (lambda: brute_optimal_sets(X_SPACE, [], Y_ALTS),
+         "alternative built over a different space"),
+        (lambda: X_MODEL.key(Y_ALTS[0]),
+         "outcome built over a different space"),
     ], ids=["LexModel", "lex_compare", "compose", "canonicalize",
             "EncodedGamma", "AlternativeSet", "optimal_in_model",
             "compute_sets", "equivalence_classes", "po_membership",
             "pso_membership", "csd_membership", "no_membership", "index_of",
             "entails", "entails_cmp", "entails_eq", "outcome_comparison",
             "PrefStatement", "valid_extension", "valid_extension_model",
-            "satisfies", "satisfies_star"])
+            "satisfies", "satisfies_star", "brute_optimal_sets", "key"])
     def test_raises(self, call, message):
         with pytest.raises(ValueError) as err:
             call()
