@@ -228,17 +228,18 @@ def cmd_oracle(args) -> int:
         print(f"oracle refused: {count} models exceed cap {args.cap}",
               file=sys.stderr)
         return EXIT_INPUT
-    ok, models = brute_consistent(space, gamma, cap=args.cap)
+    ok, satisfying = brute_consistent(space, gamma, cap=args.cap)
     engine_result = consistent(space, gamma)
     report = {
         "models_total": count,
-        "models_satisfying": len(models),
+        "models_satisfying": len(satisfying),
         "consistent": ok,
         "engine_agrees": ok == engine_result.consistent,
     }
     alternatives = instance.alternatives
     if ok and alternatives is not None:
-        brute = brute_optimal_sets(space, gamma, alternatives, cap=args.cap)
+        brute = brute_optimal_sets(space, gamma, alternatives,
+                                   models=satisfying)
         if report["engine_agrees"]:
             sets, _ = compute_sets_timed(space, gamma, alternatives)
             report["engine_agrees"] = all(
@@ -250,7 +251,7 @@ def cmd_oracle(args) -> int:
         print(json.dumps(report, indent=2))
     else:
         print("consistent" if ok else "inconsistent")
-        print(f"models: {len(models)} of {count} satisfy")
+        print(f"models: {len(satisfying)} of {count} satisfy")
         print("engine agrees" if report["engine_agrees"]
               else "engine DISAGREES")
         for key in _SET_NAMES:

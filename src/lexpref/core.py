@@ -50,6 +50,14 @@ def index_mask(indices: Iterable[int]) -> int:
     return mask
 
 
+def check_space(space: VariableSpace, parts: Iterable, message: str) -> None:
+    """Raise ``ValueError(message)`` unless every part is over ``space``
+    (or an equal space): objects over different spaces never mix."""
+    for part in parts:
+        if part.space is not space and part.space != space:
+            raise ValueError(message)
+
+
 class VariableSpace:
     """An ordered set of named variables, each with an ordered finite domain.
 
@@ -340,10 +348,9 @@ class LexModel:
     def __init__(self, space: VariableSpace,
                  stages: Sequence[TotalValueOrder] = ()):
         stages = tuple(stages)
+        check_space(space, stages, "stage built over a different space")
         vmask = 0
         for st in stages:
-            if st.space is not space and st.space != space:
-                raise ValueError("stage built over a different space")
             bit = 1 << st.var
             if vmask & bit:
                 raise ValueError(
@@ -376,8 +383,8 @@ class LexModel:
 
     def key(self, outcome: Outcome) -> tuple[int, ...]:
         """Stage-wise rank vector; lexicographically smaller means better."""
-        if outcome.space is not self.space and outcome.space != self.space:
-            raise ValueError("outcome built over a different space")
+        check_space(self.space, (outcome,),
+                    "outcome built over a different space")
         values = outcome.values
         return tuple(st.rank_of[values[st.var]] for st in self.stages)
 
@@ -420,10 +427,8 @@ def lex_compare(model: LexModel, alpha: Outcome, beta: Outcome) -> Cmp:
     Returns EQUIVALENT when they agree on every stage variable, which makes
     the induced relation a total pre-order.
     """
-    space = model.space
-    if (alpha.space is not space and alpha.space != space) or \
-            (beta.space is not space and beta.space != space):
-        raise ValueError("outcomes must live in the model's space")
+    check_space(model.space, (alpha, beta),
+                "outcomes must live in the model's space")
     a = alpha.values
     b = beta.values
     for st in model.stages:
@@ -436,8 +441,7 @@ def lex_compare(model: LexModel, alpha: Outcome, beta: Outcome) -> Cmp:
 
 def compose(left: LexModel, right: LexModel) -> LexModel:
     """Stages of ``left`` followed by the stages of ``right`` on fresh variables."""
-    if left.space is not right.space and left.space != right.space:
-        raise ValueError("models must share a space")
+    check_space(left.space, (right,), "models must share a space")
     if not left.stages:
         return right
     if not right.stages:
@@ -457,7 +461,6 @@ def extends(bigger: LexModel, smaller: LexModel) -> bool:
 
 def extends_or_equals(bigger: LexModel, smaller: LexModel) -> bool:
     """True when ``bigger`` begins with ``smaller`` (or equals it)."""
-    if bigger.space is not smaller.space and bigger.space != smaller.space:
-        raise ValueError("models must share a space")
+    check_space(bigger.space, (smaller,), "models must share a space")
     k = len(smaller.stages)
     return len(bigger.stages) >= k and bigger.stages[:k] == smaller.stages

@@ -12,9 +12,11 @@ Inference queries reduce to consistency: a comparison is entailed when the
 statement set together with the opposite comparison has no model.
 
 Hot paths run through the bitset kernel in :mod:`lexpref.kernel`, which
-also owns the encoding (:class:`EncodedGamma`).  :func:`valid_extension`
-restates the extension rule over objects and is the one reference the
-tests check the kernel's witnesses and failures against.
+also owns the encoding (:class:`EncodedGamma`).  One walk restates the
+extension rule apart from the kernel, each clash that rules a variable
+out its own check (:func:`_extension_order`); :func:`valid_extension` and
+the maximality check call it, and it is the one reference the tests
+check the kernel's witnesses and failures against.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .core import LexModel, Outcome, TotalValueOrder, VariableSpace, iter_bits
+from .core import (LexModel, Outcome, TotalValueOrder, VariableSpace,
+                   check_space, index_mask, iter_bits)
 from .errors import InconsistentError, UnsupportedQueryError
 from .kernel import EncodedGamma
 from .statements import (PrefStatement, StatementKind, inner_statement,
@@ -112,12 +115,11 @@ def consistent_from_encoding(enc: EncodedGamma,
         tests += g
         # maximality: not counted in test_count, which check --json prints
         for x in iter_bits(space.full_mask & ~witness.vmask):
-            name = space.variables[x]
-            if valid_extension(space, enc.statements, witness,
-                               name) is not None:
+            if _extension_order(space, enc.statements, witness.vmask,
+                                x) is not None:
                 raise RuntimeError(
-                    f"internal error: witness is not maximal, {name} "
-                    f"extends it")
+                    f"internal error: witness is not maximal, "
+                    f"{space.variables[x]} extends it")
     return ConsistencyResult(
         consistent=ok,
         witness=witness,
@@ -141,103 +143,84 @@ def build_maximal_star_model(space: VariableSpace,
     return res.witness
 
 
-def _complete_order(d: int, pair_list: list[tuple[int, int]],
-                    best: int | None, worst: int | None) -> list[int] | None:
-    """Deterministic completion in the explicit reference form.
+def _extension_order(space: VariableSpace, gamma: Sequence[PrefStatement],
+                     vmask: int, x: int) -> tuple[int, ...] | None:
+    """The order by which variable ``x`` extends a model over ``vmask``'s
+    variables, or None.
 
-    The required pairs become successor masks, bit b of ``succ[a]`` for
-    a above b.  The pin clashes are checked one by one against them; then
-    a pinned best value is placed first, a pinned worst value last and the
-    rest by smallest-index topological order over a ``ready`` mask.  The
-    kernel instead gives a pinned best an edge to every other value and a
-    pinned worst one extra edge in, and lets one topological pass meet the
-    clashes; the two completions agree, which tests check.
+    Each live statement is read once into successor masks (bit b of
+    ``succ[a]`` for a pair a above b) and a pinned best and worst value.
+    The order is the best first, the worst last and the rest by
+    smallest-index topological order; the kernel's pins-as-edges pass
+    gives the same orders, which tests check.
     """
+    bit = 1 << x
+    d = space.domain_size(x)
     succ = [0] * d
+    best: int | None = None
+    worst: int | None = None
+    for st in gamma:
+        if st.kind is StatementKind.NEGATED_NON_STRICT:
+            # decided once a variable outside T and U is placed; until
+            # then it needs q's value above p's, the reversed pair
+            if not vmask & ~(st.t_mask | st.u_mask) and st.r_mask & bit:
+                succ[st.s.vals[x]] |= 1 << st.r.vals[x]
+            continue
+        if st.rs_mask & vmask:
+            continue                        # decided at an earlier stage
+        if st.w_mask & bit:
+            return None                     # a W block
+        if st.rs_mask & bit:
+            succ[st.r.vals[x]] |= 1 << st.s.vals[x]
+        elif st.r_mask & bit:
+            if best is not None and best != st.r.vals[x]:
+                return None                 # two bests
+            best = st.r.vals[x]
+        elif st.s_mask & bit:
+            if worst is not None and worst != st.s.vals[x]:
+                return None                 # two worsts
+            worst = st.s.vals[x]
     indeg = [0] * d
-    for a, b in set(pair_list):
-        succ[a] |= 1 << b
-        indeg[b] += 1
-    if best is not None and worst is not None and best == worst and d >= 2:
-        return None
-    if best is not None and indeg[best] > 0:
-        return None
+    for s in succ:
+        for b in iter_bits(s):
+            indeg[b] += 1
+    if best is not None and best == worst:
+        return None                         # one value pinned both ways
+    if best is not None and indeg[best]:
+        return None                         # a pair into the best
     if worst is not None and succ[worst]:
-        return None
-    ready = (1 << d) - 1    # the unpinned values with no pair into them
-    for s in succ + [1 << a for a in (best, worst) if a is not None]:
-        ready &= ~s
+        return None                         # a pair out of the worst
+    ready = index_mask(a for a in range(d)
+                       if not indeg[a] and a != best and a != worst)
     out: list[int] = []
-    a = best      # placed first when pinned, then the lowest ready value
+    a = best
     while a is not None or ready:
         if a is None:
             low = ready & -ready
             ready ^= low
             a = low.bit_length() - 1
         out.append(a)
-        s = succ[a]
-        while s:
-            low = s & -s
-            b = low.bit_length() - 1
+        for b in iter_bits(succ[a]):
             indeg[b] -= 1
             if indeg[b] == 0 and b != worst:
-                ready |= low
-            s ^= low
+                ready |= 1 << b
         a = None
     if worst is not None:
         out.append(worst)
-    return out if len(out) == d else None
+    return tuple(out) if len(out) == d else None    # else a cycle
 
 
 def valid_extension(space: VariableSpace, gamma: Sequence[PrefStatement],
                     model: LexModel, variable: str) -> TotalValueOrder | None:
-    """A value order making ``model`` extendable by ``variable``, or None.
-
-    Returns the deterministic completion: pinned best first, pinned worst
-    last, remaining values by smallest-index topological order over the
-    required pairs.
-    """
-    if model.space is not space and model.space != space:
-        raise ValueError("model built over a different space")
-    if any(st.space is not space and st.space != space for st in gamma):
-        raise ValueError("statement built over a different space")
+    """The value order by which ``variable`` extends ``model``, or None;
+    the one :func:`_extension_order` gives."""
+    check_space(space, (model,), "model built over a different space")
+    check_space(space, gamma, "statement built over a different space")
     x = space.var_index(variable)
-    bit = 1 << x
-    if model.vmask & bit:
+    if model.vmask >> x & 1:
         raise ValueError(f"{variable!r} is already in the model")
-    vmask = model.vmask
-    best: int | None = None
-    worst: int | None = None
-    pair_list: list[tuple[int, int]] = []
-    for st in gamma:
-        if st.kind is StatementKind.NEGATED_NON_STRICT:
-            if vmask & ~(st.t_mask | st.u_mask):
-                continue
-            if st.r_mask & bit:
-                pair_list.append((st.s.vals[x], st.r.vals[x]))
-        else:
-            if st.rs_mask & vmask:
-                continue
-            if st.w_mask & bit:
-                return None
-            if st.rs_mask & bit:
-                pair_list.append((st.r.vals[x], st.s.vals[x]))
-            elif st.r_mask & bit:
-                v = st.r.vals[x]
-                if best is None:
-                    best = v
-                elif best != v:
-                    return None
-            elif st.s_mask & bit:
-                v = st.s.vals[x]
-                if worst is None:
-                    worst = v
-                elif worst != v:
-                    return None
-    order = _complete_order(space.domain_size(x), pair_list, best, worst)
-    if order is None:
-        return None
-    return TotalValueOrder(space, x, tuple(order))
+    order = _extension_order(space, gamma, model.vmask, x)
+    return None if order is None else TotalValueOrder(space, x, order)
 
 
 def consistent_with_comparisons(enc: EncodedGamma,
@@ -271,9 +254,8 @@ def entails(space: VariableSpace, gamma: Sequence[PrefStatement], op: str,
         return entails_general(space, gamma, outcome_comparison(
             space, left, right, strict=op == ">"))
     if op == "==":
-        if any(o.space is not space and o.space != space
-               for o in (left, right)):
-            raise ValueError("outcomes built over a different space")
+        check_space(space, (left, right),
+                    "outcomes built over a different space")
         res = consistent(space, gamma, verify=False)
         if not res.consistent:
             return True

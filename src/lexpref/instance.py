@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from itertools import compress, filterfalse
 from typing import NamedTuple
 
-from .core import Outcome, PartialAssignment, VariableSpace
+from .core import Outcome, PartialAssignment, VariableSpace, check_space
 from .errors import ParseError
 from .optimality import AlternativeSet
 from .statements import (PrefStatement, StatementKind, canonicalize,
@@ -462,11 +462,30 @@ def format_statement(st: PrefStatement) -> str:
 
 
 def format_instance(instance: Instance, header: str | None = None) -> str:
-    lines: list[str] = []
-    if header:
-        for h in header.splitlines():
-            lines.append(f"# {h}")
+    """The file text of ``instance``; raises ``ValueError`` rather than
+    write one the reader refuses or misreads: an outcome or statement over
+    another space, or a name that is not a NAME or is written twice in its
+    kind (an unlabelled statement is written as ``s{i}``, its position)."""
     space = instance.space
+    check_space(space, instance.outcomes.values(),
+                "outcome built over a different space")
+    check_space(space, instance.statements,
+                "statement built over a different space")
+    stmt_names = [st.label or f"s{i}"
+                  for i, st in enumerate(instance.statements)]
+    for noun, names in [("variable", space.variables),
+                        ("outcome", instance.outcomes),
+                        ("statement", stmt_names),
+                        ("alternative", instance.alt_names),
+                        *(("value", domain) for domain in space.domains)]:
+        seen = set()
+        for name in names:
+            if not _NAME_RE.fullmatch(name):
+                raise ValueError(f"{noun} name {name!r} is not a NAME")
+            if name in seen:
+                raise ValueError(f"{noun} name {name!r} written twice")
+            seen.add(name)
+    lines = [f"# {h}" for h in (header or "").splitlines()]
     for i, var in enumerate(space.variables):
         lines.append(f"var {var}: " + ", ".join(space.domains[i]))
     for name, outcome in instance.outcomes.items():
@@ -474,8 +493,7 @@ def format_instance(instance: Instance, header: str | None = None) -> str:
                            in zip(space.variables, space.domains,
                                   outcome.values))
         lines.append(f"outcome {name}: {assign}")
-    for i, st in enumerate(instance.statements):
-        name = st.label or f"s{i}"
+    for name, st in zip(stmt_names, instance.statements):
         lines.append(f"stmt {name}: {format_statement(st)}")
     if instance.alt_names:
         lines.append("alts: " + ", ".join(instance.alt_names))

@@ -80,7 +80,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import VariableSpace
+from .core import VariableSpace, check_space
 from .statements import PrefStatement, StatementKind
 
 
@@ -136,9 +136,9 @@ class EncodedGamma:
         bests: list[dict] = [{} for _ in range(n)]
         worsts: list[dict] = [{} for _ in range(n)]
         full = weak = neg = 0
+        check_space(space, self.statements,
+                    "statement built over a different space")
         for j, st in enumerate(self.statements):
-            if st.space is not space and st.space != space:
-                raise ValueError("statement built over a different space")
             bit = 1 << j
             negated = st.kind is StatementKind.NEGATED_NON_STRICT
             if negated:

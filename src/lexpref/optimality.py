@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable, Sequence
 
-from .core import LexModel, Outcome, VariableSpace, iter_bits
+from .core import LexModel, Outcome, VariableSpace, check_space, iter_bits
 # consistent_from_encoding and consistent_with_comparisons stay importable
 # here only for perfbench/spans.py, which hooks both on this module.
 from .engine import (EncodedGamma, consistent_from_encoding,  # noqa: F401
@@ -70,10 +70,10 @@ class AlternativeSet:
         outcomes = tuple(outcomes)
         if not outcomes:
             raise ValueError("alternative set must be non-empty")
+        check_space(space, outcomes,
+                    "alternative built over a different space")
         seen = {}
         for i, o in enumerate(outcomes):
-            if o.space is not space and o.space != space:
-                raise ValueError("alternative built over a different space")
             if o.values in seen:
                 raise ValueError(f"duplicate alternative at positions "
                                  f"{seen[o.values]} and {i}")
@@ -92,8 +92,8 @@ class AlternativeSet:
         return self.outcomes[i]
 
     def index_of(self, outcome: Outcome) -> int:
-        if outcome.space is not self.space and outcome.space != self.space:
-            raise ValueError("outcome built over a different space")
+        check_space(self.space, (outcome,),
+                    "outcome built over a different space")
         try:
             return self._index[outcome.values]
         except KeyError:
@@ -169,8 +169,8 @@ def optimal_in_model(model: LexModel, alternatives: AlternativeSet,
                      ) -> frozenset[int]:
     """Indices of the alternatives no other alternative beats under the model."""
     space = model.space
-    if alternatives.space is not space and alternatives.space != space:
-        raise ValueError("alternatives built over a different space")
+    check_space(space, (alternatives,),
+                "alternatives built over a different space")
     rows = value_masks(space, [o.values for o in alternatives])
     stages = [(st.var, st.ranking) for st in model.stages]
     return frozenset(iter_bits(
@@ -202,8 +202,8 @@ class _MembershipRun:
 
     def __init__(self, space: VariableSpace, gamma: Sequence[PrefStatement],
                  alternatives: AlternativeSet):
-        if alternatives.space is not space and alternatives.space != space:
-            raise ValueError("alternatives built over a different space")
+        check_space(space, (alternatives,),
+                    "alternatives built over a different space")
         self.enc = EncodedGamma(space, gamma)
         ok, stages, *_ = self.enc.run()
         if not ok:

@@ -33,7 +33,7 @@ from itertools import filterfalse, product
 from typing import Iterable, NamedTuple
 
 from .core import (LexModel, Outcome, PartialAssignment, VariableSpace,
-                   index_mask, iter_bits)
+                   check_space, index_mask, iter_bits)
 from .errors import CapExceededError
 
 PAIRS_CAP_DEFAULT = 10_000
@@ -66,8 +66,7 @@ class PrefStatement:
     def __init__(self, space: VariableSpace, kind: StatementKind,
                  u: PartialAssignment, r: PartialAssignment,
                  s: PartialAssignment, t_mask: int, label: str | None = None):
-        if any(b.space is not space and b.space != space for b in (u, r, s)):
-            raise ValueError("blocks built over a different space")
+        check_space(space, (u, r, s), "blocks built over a different space")
         u_mask, r_mask, s_mask = u.mask, r.mask, s.mask
         rs_union = r_mask | s_mask
         if (u_mask & t_mask) | ((u_mask | t_mask) & rs_union):
@@ -152,8 +151,7 @@ def canonicalize(space: VariableSpace, p: PartialAssignment,
     the side they come from and are built unchecked from the indices ``p``
     and ``q`` already hold.
     """
-    if any(side.space is not space and side.space != space for side in (p, q)):
-        raise ValueError("sides built over a different space")
+    check_space(space, (p, q), "sides built over a different space")
     t_mask = t_vars if isinstance(t_vars, int) else space.mask_of(t_vars)
     if t_mask & (p.mask | q.mask):
         overlap = space.names_of(t_mask & (p.mask | q.mask))
@@ -180,8 +178,7 @@ def canonicalize(space: VariableSpace, p: PartialAssignment,
 def outcome_comparison(space: VariableSpace, left: Outcome, right: Outcome,
                        strict: bool, label: str | None = None) -> PrefStatement:
     """The comparison of two complete outcomes as a canonical statement."""
-    if any(o.space is not space and o.space != space for o in (left, right)):
-        raise ValueError("outcomes built over a different space")
+    check_space(space, (left, right), "outcomes built over a different space")
     p = PartialAssignment(space, dict(enumerate(left.values)))
     q = PartialAssignment(space, dict(enumerate(right.values)))
     kind = StatementKind.WEAKLY_STRICT if strict else StatementKind.NON_STRICT
@@ -255,11 +252,6 @@ def _nonstrict_holds(model: LexModel, st: PrefStatement) -> bool:
     return rank[st.r.vals[x]] < rank[st.s.vals[x]]
 
 
-def _check_space(model: LexModel, statement: PrefStatement) -> None:
-    if statement.space is not model.space and statement.space != model.space:
-        raise ValueError("statement built over a different space")
-
-
 def satisfies(model: LexModel, statement: PrefStatement) -> bool:
     """Whether the model satisfies the statement.
 
@@ -267,7 +259,8 @@ def satisfies(model: LexModel, statement: PrefStatement) -> bool:
     over the model's stage-prefix masks (built once per model), after one
     check per R-only or S-only variable staged before it.
     """
-    _check_space(model, statement)
+    check_space(model.space, (statement,),
+                "statement built over a different space")
     kind = statement.kind
     if kind is StatementKind.NON_STRICT:
         return _nonstrict_holds(model, statement)
@@ -286,7 +279,8 @@ def satisfies_star(model: LexModel, statement: PrefStatement) -> bool:
     Only defined for individually consistent statements; callers must
     screen inconsistent ones out first.
     """
-    _check_space(model, statement)
+    check_space(model.space, (statement,),
+                "statement built over a different space")
     if not statement_consistent(statement):
         raise ValueError("statement is not individually consistent")
     if statement.kind is StatementKind.NEGATED_NON_STRICT:

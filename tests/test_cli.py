@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -283,6 +284,17 @@ class TestOracleCommand:
         code = main(["oracle", flight_file, "--cap", "10"])
         assert code == 3
         assert "refused" in capsys.readouterr().err
+
+    def test_refuses_a_large_space_at_once(self, tmp_path, capsys):
+        # counting the models of n=200 variables must not walk 2^200 subsets
+        path = str(tmp_path / "large.lex")
+        assert main(["gen", "--vars", "200", "--stmts", "20", "--alts", "1",
+                     "--seed", "5", "-o", path]) == 0
+        start = time.perf_counter()
+        code = main(["oracle", path])
+        assert time.perf_counter() - start < 10
+        assert code == 3
+        assert capsys.readouterr().err.startswith("oracle refused: ")
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     def test_set_disagreement_is_input_error(self, flight_file, capsys,

@@ -20,6 +20,8 @@ from lexpref.engine import EncodedGamma
 from lexpref.rng import SplitMix64
 
 SP = FLIGHT_SPACE
+XYZ = VariableSpace(["x", "y", "z"],
+                    {"x": ["a", "b", "c"], "y": ["c", "d"], "z": ["e", "f"]})
 
 
 def flight_gamma():
@@ -73,6 +75,33 @@ class TestValidExtension:
         # enumeration confirms: no single-stage x-order star-satisfies both
         for perm in itertools.permutations(range(2)):
             pi = LexModel(space, (TotalValueOrder(space, 0, perm),))
+            assert not all(satisfies_star(pi, st) for st in gamma)
+
+    # one case per way the walk rules a variable out; each statement is
+    # (P, Q, held), the non-strict "[P] >= [Q] || {held}" over XYZ
+    @pytest.mark.parametrize("statements", [
+        [("y=c", "y=d", "")],                       # x in W of a live one
+        [("x=a", "y=c", ""), ("x=b", "y=c", "")],   # two bests
+        [("y=c", "x=a", ""), ("y=c", "x=b", "")],   # two worsts
+        [("x=a", "y=c", ""), ("x=b", "x=a", "y, z")],  # a pair into best
+        [("y=c", "x=a", ""), ("x=a", "x=b", "y, z")],  # a pair out of worst
+        [("x=a", "x=b", "y, z"), ("x=b", "x=c", "y, z"),
+         ("x=c", "x=a", "y, z")],                   # a cycle of pairs
+    ], ids=["w-block", "two-bests", "two-worsts", "pair-into-best",
+            "pair-out-of-worst", "cycle"])
+    def test_each_refusal_is_genuine(self, statements):
+        def side(text):
+            return XYZ.partial(dict([text.split("=")]))
+
+        gamma = [canonicalize(XYZ, side(p), side(q),
+                              [v.strip() for v in held.split(",") if v],
+                              StatementKind.NON_STRICT)
+                 for p, q, held in statements]
+        assert all(map(statement_consistent, gamma))
+        assert valid_extension(XYZ, gamma, LexModel(XYZ), "x") is None
+        # enumeration confirms: no x-order star-satisfies every statement
+        for perm in itertools.permutations(range(3)):
+            pi = LexModel(XYZ, (TotalValueOrder(XYZ, 0, perm),))
             assert not all(satisfies_star(pi, st) for st in gamma)
 
     def test_empty_statement_set_gives_canonical_order(self):

@@ -1,5 +1,6 @@
 """Instance file parsing, serialization and query parsing."""
 
+import dataclasses
 import hashlib
 import re
 import time
@@ -11,7 +12,7 @@ from lexpref import (GenConfig, Instance, ParseError, PartialAssignment,
                      PrefStatement, StatementKind, VariableSpace,
                      canonicalize, consistent, entails, entails_general,
                      format_instance, gen_instance, negate_non_strict,
-                     parse_instance, parse_query)
+                     outcome_comparison, parse_instance, parse_query)
 from lexpref.cli import main as cli_main
 from lexpref.instance import (_CMP_RE, _OPS, _QUERY_SHAPES, _SHAPES,
                               _STMT_RE, _assignment, _item_table,
@@ -178,6 +179,45 @@ stmt s5: [] >= [x=a]
         again = parse_instance(format_instance(inst))
         assert again.statements[0].kind is StatementKind.NEGATED_NON_STRICT
         assert format_instance(again) == format_instance(inst)
+
+
+FLIGHT = parse_instance(FLIGHT_FILE)
+A, B, G = (FLIGHT.outcomes[name] for name in "abg")
+X_SPACE = VariableSpace(["x"], {"x": ["a", "b"]})
+
+
+class TestFormatRefusals:
+    """``format_instance`` refuses to write what ``parse_instance`` would
+    refuse or read under other names."""
+
+    @pytest.mark.parametrize("changes,message", [
+        # an unlabelled statement is written under its position, s0 here
+        ({"statements": (outcome_comparison(FLIGHT.space, A, B, True),
+                         outcome_comparison(FLIGHT.space, B, G, False,
+                                            label="s0"))},
+         "statement name 's0' written twice"),
+        ({"statements": (outcome_comparison(FLIGHT.space, A, B, True,
+                                            label="a b"),)},
+         "statement name 'a b' is not a NAME"),
+        ({"outcomes": {"a:": A}, "alt_names": ()},
+         "outcome name 'a:' is not a NAME"),
+        ({"alt_names": ("a", "b", "a")}, "alternative name 'a' written twice"),
+        ({"space": VariableSpace(["x y"], {"x y": ["a", "b"]}),
+          "outcomes": {}, "statements": (), "alt_names": ()},
+         "variable name 'x y' is not a NAME"),
+        ({"space": VariableSpace(["x"], {"x": ["a", "b\n"]}),
+          "outcomes": {}, "statements": (), "alt_names": ()},
+         "value name 'b\\n' is not a NAME"),
+        ({"space": X_SPACE, "statements": (), "alt_names": ()},
+         "outcome built over a different space"),
+        ({"space": X_SPACE, "outcomes": {}, "alt_names": ()},
+         "statement built over a different space"),
+    ], ids=["default-name-taken", "statement", "outcome", "alternative",
+            "variable", "value", "outcome-space", "statement-space"])
+    def test_raises(self, changes, message):
+        with pytest.raises(ValueError) as err:
+            format_instance(dataclasses.replace(FLIGHT, **changes))
+        assert str(err.value) == message
 
 
 class TestParseErrors:

@@ -4,15 +4,16 @@ import pytest
 
 from helpers import (FLIGHT_A, FLIGHT_B, FLIGHT_D, FLIGHT_G,
                      FLIGHT_SPACE, random_gamma, small_space, stage_model)
-from lexpref import (AlternativeSet, Cmp, InconsistentError, LexModel,
-                     OptimalSets, Outcome, PrefStatement, StatementKind,
-                     VariableSpace, brute_consistent, brute_optimal_sets,
+from lexpref import (AlternativeSet, Cmp, InconsistentError, Instance,
+                     LexModel, OptimalSets, Outcome, PrefStatement,
+                     StatementKind, VariableSpace, brute_consistent,
+                     brute_entails, brute_maximal_models, brute_optimal_sets,
                      canonicalize, compose, compute_sets, compute_sets_timed,
                      consistent, csd_membership, entails, enumerate_models,
-                     equivalence_classes, lex_compare, no_membership,
-                     optimal_in_model, outcome_comparison, po_membership,
-                     pso_membership, satisfies, satisfies_star,
-                     valid_extension)
+                     equivalence_classes, format_instance, lex_compare,
+                     no_membership, optimal_in_model, outcome_comparison,
+                     po_membership, pso_membership, satisfies,
+                     satisfies_star, valid_extension)
 from lexpref.core import iter_bits
 from lexpref.engine import EncodedGamma, consistent_with_comparisons
 from lexpref.generator import GenConfig, gen_instance
@@ -432,6 +433,9 @@ Y_STMT = outcome_comparison(Y_SPACE, Y_ALTS[0], Y_ALTS[1], strict=False)
 XZ_SPACE = VariableSpace(["x", "z"], {"x": ["a", "b"], "z": ["a", "b"]})
 OTHER_STMT = "statement built over a different space"
 OTHER_OUTCOMES = "outcomes built over a different space"
+# a strict comparison of an outcome with itself: no model satisfies it
+X_NO_MODEL = outcome_comparison(X_SPACE, *[Outcome(X_SPACE, (0,))] * 2,
+                                strict=True)
 
 
 class TestRejectedArguments:
@@ -481,13 +485,19 @@ class TestRejectedArguments:
          "alternative built over a different space"),
         (lambda: X_MODEL.key(Y_ALTS[0]),
          "outcome built over a different space"),
+        (lambda: brute_entails(X_SPACE, [X_NO_MODEL], Y_STMT), OTHER_STMT),
+        (lambda: brute_maximal_models(X_SPACE, [Y_MODEL]),
+         "model built over a different space"),
+        (lambda: format_instance(Instance(X_SPACE, {"o": Y_ALTS[0]}, (), ())),
+         "outcome built over a different space"),
     ], ids=["LexModel", "lex_compare", "compose", "canonicalize",
             "EncodedGamma", "AlternativeSet", "optimal_in_model",
             "compute_sets", "equivalence_classes", "po_membership",
             "pso_membership", "csd_membership", "no_membership", "index_of",
             "entails", "entails_cmp", "entails_eq", "outcome_comparison",
             "PrefStatement", "valid_extension", "valid_extension_model",
-            "satisfies", "satisfies_star", "brute_optimal_sets", "key"])
+            "satisfies", "satisfies_star", "brute_optimal_sets", "key",
+            "brute_entails", "brute_maximal_models", "format_instance"])
     def test_raises(self, call, message):
         with pytest.raises(ValueError) as err:
             call()

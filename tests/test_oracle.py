@@ -1,5 +1,8 @@
 """The brute-force reference: counts, enumeration, self-consistency."""
 
+from itertools import combinations
+from math import factorial, prod
+
 import pytest
 
 from helpers import (FLIGHT_A, FLIGHT_B, FLIGHT_G, FLIGHT_SPACE, random_gamma,
@@ -30,6 +33,22 @@ class TestEnumeration:
         assert len(models) == 79
         # exhaustive and duplicate-free
         assert len({m.stages for m in models}) == 79
+
+    def test_count_equals_the_subset_sum(self):
+        # the definition: over every variable subset, its orderings times
+        # the value orders of each variable in it
+        rng = SplitMix64(29)
+        for _ in range(200):
+            sizes = [1 + rng.randrange(4) for _ in range(1 + rng.randrange(9))]
+            space = VariableSpace(
+                [f"x{i}" for i in range(len(sizes))],
+                {f"x{i}": [f"v{j}" for j in range(d)]
+                 for i, d in enumerate(sizes)})
+            assert model_count(space) == sum(
+                factorial(len(subset)) * prod(factorial(sizes[i])
+                                              for i in subset)
+                for k in range(len(sizes) + 1)
+                for subset in combinations(range(len(sizes)), k))
 
     def test_cap_guard(self):
         with pytest.raises(CapExceededError):
